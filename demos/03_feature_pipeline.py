@@ -30,7 +30,3 @@ print(f"assembled input: {assembled.shape}  (static / delta / delta-delta channe
 everything = np.concatenate([assemble_input(u, stats) for u in train], axis=2)
 print(f"over the whole train set: |mean| <= {np.abs(everything.mean(axis=2)).max():.2e}, "
       f"|std - 1| <= {np.abs(everything.std(axis=2) - 1).max():.2e}")
-
-roundtrip = stats.unapply(stats.apply(assemble_input(train[0])))
-print(f"normalize -> denormalize recovers inputs to "
-      f"{np.abs(roundtrip - assemble_input(train[0])).max():.2e}")

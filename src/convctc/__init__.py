@@ -11,7 +11,7 @@ from .features import NormalizationStats, assemble_input, compute_deltas, fit_no
 from .network import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkConfig,
                       PoolSpec, figure3_config)
 from .optim import adam_step, init_uniform, make_optimizer, sgd_step
-from .tensor import ShapeError, load_tensor, logsumexp, map_elementwise, matmul, save_tensor
+from .tensor import ShapeError, load_tensor, logsumexp, save_tensor
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,5 @@ __all__ = [
     "adam_step", "assemble_input", "best_path_decode", "collapse",
     "compute_deltas", "ctc_grad", "ctc_loss", "enumerate_oracle",
     "figure3_config", "fit_normalization", "init_uniform", "load_tensor",
-    "logsumexp", "make_optimizer", "map_elementwise", "matmul",
-    "save_tensor", "sgd_step",
+    "logsumexp", "make_optimizer", "save_tensor", "sgd_step",
 ]

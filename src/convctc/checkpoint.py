@@ -8,10 +8,12 @@ and training metadata (epoch, best dev metric, rng state).
 Layout: magic "CCKP" | container version u32 | header length u64 | header
 JSON (canonical: sorted keys, no whitespace) | tensor records in the order
 the header lists them.  The canonical header and fixed tensor order make
-save -> load -> save byte-identical.
+save -> load -> save byte-identical.  Saves are atomic, and a truncated
+file fails to load with ValueError.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -38,6 +40,9 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt):
+    """Write atomically: the bundle goes to `path`.tmp, is flushed and
+    fsynced, then renamed onto `path`, so a crash mid-save leaves the
+    previous file whole."""
     names = list(ckpt.params.keys())
     header = {
         "config": ckpt.config.to_json(),
@@ -57,31 +62,52 @@ def save_checkpoint(path, ckpt):
         header["optimizer"] = None
 
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQ", CONTAINER_VERSION, len(blob)))
-        fh.write(blob)
-        for name in names:
-            write_tensor(fh, ckpt.params[name])
-        if ckpt.optimizer is not None and ckpt.optimizer.m:
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<IQ", CONTAINER_VERSION, len(blob)))
+            fh.write(blob)
             for name in names:
-                write_tensor(fh, ckpt.optimizer.m[name])
-            for name in names:
-                write_tensor(fh, ckpt.optimizer.v[name])
-        if ckpt.stats is not None:
-            write_tensor(fh, ckpt.stats.means.astype(np.float64))
-            write_tensor(fh, ckpt.stats.stds.astype(np.float64))
+                write_tensor(fh, ckpt.params[name])
+            if ckpt.optimizer is not None and ckpt.optimizer.m:
+                for name in names:
+                    write_tensor(fh, ckpt.optimizer.m[name])
+                for name in names:
+                    write_tensor(fh, ckpt.optimizer.v[name])
+            if ckpt.stats is not None:
+                write_tensor(fh, ckpt.stats.means.astype(np.float64))
+                write_tensor(fh, ckpt.stats.stds.astype(np.float64))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    # make the rename itself durable
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_checkpoint(path):
     """Load and validate: parameter names and shapes must match the config."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        head = fh.read(16)
+        if head[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (magic {head[:4]!r})")
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, header_len = struct.unpack("<IQ", head[4:])
         if version != CONTAINER_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        left = os.fstat(fh.fileno()).st_size - 16
+        if header_len > left:
+            raise ValueError(f"{path}: truncated checkpoint: header of {header_len} bytes, "
+                             f"{left} left")
         header = json.loads(fh.read(header_len).decode("utf-8"))
 
         config = NetworkConfig.from_json(header["config"])

@@ -19,6 +19,13 @@ from .train import train
 from .verify import SUITES
 
 
+def _suite_name(name):
+    if name not in SUITES:
+        raise argparse.ArgumentTypeError(f"unknown suite {name!r} "
+                                         f"(choose from {', '.join(SUITES)})")
+    return name
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="convctc",
                                      description="Convolutional CTC sequence labeling")
@@ -67,9 +74,8 @@ def build_parser():
     p.add_argument("features", help="static feature file (binary tensor, bands x frames)")
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("suites", nargs="*", default=[],
-                   choices=[[], "gradcheck", "ctc-oracle", "shapes"],
-                   help="suites to run (default: all)")
+    p.add_argument("suites", nargs="*", type=_suite_name, metavar="SUITE",
+                   help=f"suites to run, any of {', '.join(SUITES)} (default: all)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=1000,
                    help="random instances for the ctc-oracle suite")

@@ -111,22 +111,17 @@ class Batch:
         return self.features[i, :, :, :self.lengths[i]]
 
 
-def make_batches(items, batch_size, rng=None, shuffle=False, sort_by_length=False):
+def make_batches(items, batch_size, rng=None, shuffle=False):
     """Group utterances into padded batches; the final short batch is kept.
 
     Shuffling permutes the item order with the supplied generator, so batch
-    composition is reproducible from the seed.  sort_by_length instead
-    orders items by frame count (ties by position) to cut padding waste.
+    composition is reproducible from the seed.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle and sort_by_length:
-        raise ValueError("shuffle and sort_by_length are mutually exclusive")
     order = list(range(len(items)))
     if shuffle:
         order = list(rng.permutation(len(items)))
-    elif sort_by_length:
-        order.sort(key=lambda i: (items[i].features.shape[2], i))
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = [items[i] for i in order[start:start + batch_size]]

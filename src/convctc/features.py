@@ -47,9 +47,6 @@ class NormalizationStats:
     def apply(self, assembled):
         return (assembled - self.means[:, :, None]) / self.stds[:, :, None]
 
-    def unapply(self, normalized):
-        return normalized * self.stds[:, :, None] + self.means[:, :, None]
-
 
 def stack_channels(static, window=DELTA_WINDOW):
     """Unnormalized [3 x bands x frames]: static, delta, delta-delta."""

@@ -284,11 +284,6 @@ def log_softmax_frames(logits):
     return shifted - np.log(np.sum(np.exp(shifted), axis=0, keepdims=True))
 
 
-def softmax_frames(logits):
-    """Each time column of [A x f] normalized to a probability distribution."""
-    return np.exp(log_softmax_frames(logits))
-
-
 def log_softmax_backward(log_probs, grad_log_probs):
     """Adjoint of log_softmax_frames; maps zero-column-sum grads to themselves."""
     y = np.exp(log_probs)

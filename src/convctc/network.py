@@ -6,6 +6,12 @@ input geometry and alphabet size.  Building a Network resolves the geometry
 and assigns every trainable tensor a stable dotted name -- the same ordering
 checkpoints and optimizer state rely on.
 
+Conv and dense layers are one kind of stage: an affine map (``conv2d`` or
+``dense``) followed by maxout, ReLU, PReLU or, for the output projection,
+nothing.  Building a Network rejects an unknown activation or frequency
+padding and names the layer index.  Stages reach ``layers.*`` through the
+module at call time, so a wrapper set on a module attribute sees every call.
+
 The built network always ends with an implicit linear projection to the
 alphabet ("output") followed by a per-frame log-softmax, so ``forward``
 returns log-probabilities [A x f] ready for the ctc module.
@@ -131,26 +137,17 @@ class NetworkConfig:
             return cls.from_json(json.load(fh))
 
 
-def figure3_config(dropout=0.3, dropout_scope="all"):
+def figure3_config():
     """The shipped default stack: 10 conv 3x5 maxout (128 maps in the first
     four, 256 in the rest), 3x1 frequency pooling after layer 1, three
-    1024-wide maxout dense layers, dropout after every hidden layer.
-
-    dropout_scope narrows where dropout entries are emitted: "all", "conv",
-    or "dense".
-    """
-    def drop(where):
-        if dropout > 0 and dropout_scope in ("all", where):
-            return [DropoutSpec(dropout)]
-        return []
-
-    specs = [ConvSpec(128, 3, 5), PoolSpec(3, 3), *drop("conv")]
+    1024-wide maxout dense layers, dropout 0.3 after every hidden layer."""
+    specs = [ConvSpec(128, 3, 5), PoolSpec(3, 3), DropoutSpec(0.3)]
     for _ in range(3):
-        specs += [ConvSpec(128, 3, 5), *drop("conv")]
+        specs += [ConvSpec(128, 3, 5), DropoutSpec(0.3)]
     for _ in range(6):
-        specs += [ConvSpec(256, 3, 5), *drop("conv")]
+        specs += [ConvSpec(256, 3, 5), DropoutSpec(0.3)]
     for _ in range(3):
-        specs += [DenseSpec(1024), *drop("dense")]
+        specs += [DenseSpec(1024), DropoutSpec(0.3)]
     return NetworkConfig(channels=3, bands=41, alphabet_size=62, layers=specs)
 
 
@@ -158,19 +155,24 @@ def figure3_config(dropout=0.3, dropout_scope="all"):
 # stages: thin wrappers pairing each spec with its params and backward route
 # ---------------------------------------------------------------------------
 
-class _ConvStage:
-    def __init__(self, in_channels, spec):
-        self.in_channels = in_channels
+class _AffineStage:
+    """A conv or dense layer: the affine map, then its activation.
+
+    Maxout runs the affine map at double width, w1 and w2 stacked, and keeps
+    the larger of the two halves; "linear" is the output projection.
+    """
+
+    def __init__(self, spec, weight_shape):
         self.spec = spec
+        self.weight_shape = weight_shape     # [k x c x m x n] conv, [k x d] dense
 
     def param_specs(self):
-        s = self.spec
-        w = (s.maps, self.in_channels, s.filter_freq, s.filter_time)
-        b = (s.maps,)
-        if s.activation == "maxout":
+        w = self.weight_shape
+        b = w[:1]
+        if self.spec.activation == "maxout":
             return [("w1", w, "weight"), ("b1", b, "bias"),
                     ("w2", w, "weight"), ("b2", b, "bias")]
-        if s.activation == "prelu":
+        if self.spec.activation == "prelu":
             return [("w", w, "weight"), ("b", b, "bias"), ("alpha", b, "alpha")]
         return [("w", w, "weight"), ("b", b, "bias")]
 
@@ -179,31 +181,41 @@ class _ConvStage:
         if s.activation == "maxout":
             w = np.concatenate([p["w1"], p["w2"]])
             b = np.concatenate([p["b1"], p["b2"]])
-            h, conv_tape = layers.conv2d_forward(x, w, b, s.freq_padding)
-            out, act_tape = layers.maxout2(h[:s.maps], h[s.maps:])
         else:
-            h, conv_tape = layers.conv2d_forward(x, p["w"], p["b"], s.freq_padding)
-            if s.activation == "prelu":
-                out, act_tape = layers.prelu(h, p["alpha"])
-            else:
-                out, act_tape = layers.relu(h)
-        return out, (conv_tape, act_tape)
-
-    def backward(self, grad, tape, p):
-        s = self.spec
-        conv_tape, act_tape = tape
+            w, b = p["w"], p["b"]
+        if isinstance(s, ConvSpec):
+            h, affine_tape = layers.conv2d_forward(x, w, b, s.freq_padding)
+        else:
+            h, affine_tape = layers.dense_forward(x, w, b)
+        k = self.weight_shape[0]
         if s.activation == "maxout":
-            g1, g2 = layers.maxout2_backward(act_tape, grad)
-            gx, gw, gb = layers.conv2d_backward(conv_tape, np.concatenate([g1, g2]))
-            return gx, {"w1": gw[:s.maps], "b1": gb[:s.maps],
-                        "w2": gw[s.maps:], "b2": gb[s.maps:]}
-        if s.activation == "prelu":
-            gh, galpha = layers.prelu_backward(act_tape, grad)
-            gx, gw, gb = layers.conv2d_backward(conv_tape, gh)
-            return gx, {"w": gw, "b": gb, "alpha": galpha}
-        gh = layers.relu_backward(act_tape, grad)
-        gx, gw, gb = layers.conv2d_backward(conv_tape, gh)
-        return gx, {"w": gw, "b": gb}
+            out, act_tape = layers.maxout2(h[:k], h[k:])
+        elif s.activation == "prelu":
+            out, act_tape = layers.prelu(h, p["alpha"])
+        elif s.activation == "relu":
+            out, act_tape = layers.relu(h)
+        else:
+            out, act_tape = h, None
+        return out, (affine_tape, act_tape)
+
+    def backward(self, grad, tape):
+        s = self.spec
+        affine_tape, act_tape = tape
+        local = {}
+        if s.activation == "maxout":
+            grad = np.concatenate(layers.maxout2_backward(act_tape, grad))
+        elif s.activation == "prelu":
+            grad, local["alpha"] = layers.prelu_backward(act_tape, grad)
+        elif s.activation == "relu":
+            grad = layers.relu_backward(act_tape, grad)
+        if isinstance(s, ConvSpec):
+            gx, gw, gb = layers.conv2d_backward(affine_tape, grad)
+        else:
+            gx, gw, gb = layers.dense_backward(affine_tape, grad)
+        k = self.weight_shape[0]
+        if s.activation == "maxout":
+            return gx, {"w1": gw[:k], "b1": gb[:k], "w2": gw[k:], "b2": gb[k:]}
+        return gx, {"w": gw, "b": gb, **local}
 
 
 class _PoolStage:
@@ -216,59 +228,8 @@ class _PoolStage:
     def forward(self, x, p, train, rng):
         return layers.maxpool_freq(x, self.spec.size, self.spec.step)
 
-    def backward(self, grad, tape, p):
+    def backward(self, grad, tape):
         return layers.maxpool_freq_backward(tape, grad), {}
-
-
-class _DenseStage:
-    def __init__(self, in_width, spec):
-        self.in_width = in_width
-        self.spec = spec
-
-    def param_specs(self):
-        s = self.spec
-        w = (s.width, self.in_width)
-        b = (s.width,)
-        if s.activation == "maxout":
-            return [("w1", w, "weight"), ("b1", b, "bias"),
-                    ("w2", w, "weight"), ("b2", b, "bias")]
-        if s.activation == "prelu":
-            return [("w", w, "weight"), ("b", b, "bias"), ("alpha", b, "alpha")]
-        return [("w", w, "weight"), ("b", b, "bias")]
-
-    def forward(self, x, p, train, rng):
-        s = self.spec
-        if s.activation == "maxout":
-            w = np.concatenate([p["w1"], p["w2"]])
-            b = np.concatenate([p["b1"], p["b2"]])
-            h, dense_tape = layers.dense_forward(x, w, b)
-            out, act_tape = layers.maxout2(h[:s.width], h[s.width:])
-        else:
-            h, dense_tape = layers.dense_forward(x, p["w"], p["b"])
-            if s.activation == "prelu":
-                out, act_tape = layers.prelu(h, p["alpha"])
-            elif s.activation == "relu":
-                out, act_tape = layers.relu(h)
-            else:
-                out, act_tape = h, None
-        return out, (dense_tape, act_tape)
-
-    def backward(self, grad, tape, p):
-        s = self.spec
-        dense_tape, act_tape = tape
-        if s.activation == "maxout":
-            g1, g2 = layers.maxout2_backward(act_tape, grad)
-            gx, gw, gb = layers.dense_backward(dense_tape, np.concatenate([g1, g2]))
-            return gx, {"w1": gw[:s.width], "b1": gb[:s.width],
-                        "w2": gw[s.width:], "b2": gb[s.width:]}
-        if s.activation == "prelu":
-            gh, galpha = layers.prelu_backward(act_tape, grad)
-            gx, gw, gb = layers.dense_backward(dense_tape, gh)
-            return gx, {"w": gw, "b": gb, "alpha": galpha}
-        if s.activation == "relu":
-            grad = layers.relu_backward(act_tape, grad)
-        gx, gw, gb = layers.dense_backward(dense_tape, grad)
-        return gx, {"w": gw, "b": gb}
 
 
 class _DropoutStage:
@@ -281,7 +242,7 @@ class _DropoutStage:
     def forward(self, x, p, train, rng):
         return layers.dropout(x, self.spec.rate, rng, training=train)
 
-    def backward(self, grad, tape, p):
+    def backward(self, grad, tape):
         return layers.dropout_backward(tape, grad), {}
 
 
@@ -296,7 +257,7 @@ class _FlattenStage:
         c, b, f = x.shape
         return x.reshape(c * b, f), (c, b)
 
-    def backward(self, grad, tape, p):
+    def backward(self, grad, tape):
         c, b = tape
         return grad.reshape(c, b, -1), {}
 
@@ -309,10 +270,15 @@ class _LogSoftmaxStage:
         out = layers.log_softmax_frames(x)
         return out, out
 
-    def backward(self, grad, tape, p):
+    def backward(self, grad, tape):
         if grad.shape != tape.shape:
             raise ShapeError(f"gradient shape {grad.shape} does not match log-probs {tape.shape}")
         return layers.log_softmax_backward(tape, grad), {}
+
+
+def _require(i, field, value, allowed):
+    if value not in allowed:
+        raise ValueError(f"layer {i}: {field} {value!r} is not one of {'|'.join(allowed)}")
 
 
 class Network:
@@ -335,7 +301,10 @@ class Network:
             if isinstance(spec, ConvSpec):
                 if flat_width is not None:
                     raise ValueError(f"layer {i}: conv cannot follow a dense layer")
-                push("conv", _ConvStage(channels, spec))
+                _require(i, "activation", spec.activation, ("maxout", "relu", "prelu"))
+                _require(i, "freq_padding", spec.freq_padding, ("same", "valid"))
+                push("conv", _AffineStage(spec, (spec.maps, channels, spec.filter_freq,
+                                                 spec.filter_time)))
                 channels = spec.maps
                 if spec.freq_padding == "valid":
                     bands = bands - spec.filter_freq + 1
@@ -351,10 +320,12 @@ class Network:
                 push("pool", _PoolStage(spec))
                 bands = (bands - spec.size) // spec.step + 1
             elif isinstance(spec, DenseSpec):
+                _require(i, "activation", spec.activation,
+                         ("maxout", "relu", "prelu", "linear"))
                 if flat_width is None:
                     flat_width = channels * bands
                     push("flatten", _FlattenStage())
-                push("dense", _DenseStage(flat_width, spec))
+                push("dense", _AffineStage(spec, (spec.width, flat_width)))
                 flat_width = spec.width
             elif isinstance(spec, DropoutSpec):
                 push("dropout", _DropoutStage(spec))
@@ -364,7 +335,8 @@ class Network:
         if flat_width is None:
             flat_width = channels * bands
             push("flatten", _FlattenStage())
-        self.stack.append(("output", _DenseStage(flat_width, DenseSpec(config.alphabet_size, "linear"))))
+        output = DenseSpec(config.alphabet_size, "linear")
+        self.stack.append(("output", _AffineStage(output, (output.width, flat_width))))
         self.stack.append(("softmax", _LogSoftmaxStage()))
 
         self.param_list = []     # (full name, shape, kind) in stack order
@@ -411,7 +383,7 @@ class Network:
         for i in range(len(self.stack) - 1, -1, -1):
             name, stage = self.stack[i]
             try:
-                g, local = stage.backward(g, tapes[i], None)
+                g, local = stage.backward(g, tapes[i])
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({name}): {e}") from e
             for ln, gv in local.items():

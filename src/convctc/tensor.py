@@ -12,11 +12,14 @@ normalization stats, and checkpoints:
     | rank u32 | extents u64 each | raw scalars, little-endian, row-major
 """
 
+import math
+import os
 import struct
 
 import numpy as np
 
 FORMAT_VERSION = 1
+MAX_RANK = 8
 _MAGIC = b"TNSR"
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -25,30 +28,6 @@ _DTYPE_TAGS = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
-
-
-def matmul(a, b):
-    """Matrix product of two rank-2 arrays, [p x q] @ [q x r] -> [p x r].
-
-    Summation over q is delegated to the platform GEMM, which is
-    deterministic for a fixed environment; two identical runs produce
-    bit-identical results.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def map_elementwise(x, f):
-    """Apply a scalar function to every element, preserving shape and dtype."""
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    out.flat[:] = [f(v) for v in x.flat]
-    return out
 
 
 def logsumexp(xs):
@@ -64,18 +43,6 @@ def logsumexp(xs):
     if m == -np.inf:
         return -np.inf
     return float(m + np.log(np.sum(np.exp(xs - m))))
-
-
-def logsumexp_rows(x):
-    """Row-wise logsumexp of a [rows x n] array; all--inf rows give -inf."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=-1)
-    finite = m != -np.inf
-    out = np.full(m.shape, -np.inf)
-    if np.any(finite):
-        shifted = x[finite] - m[finite, None]
-        out[finite] = m[finite] + np.log(np.sum(np.exp(shifted), axis=-1))
-    return out
 
 
 def write_tensor(fh, arr):
@@ -94,22 +61,37 @@ def write_tensor(fh, arr):
 
 
 def read_tensor(fh):
-    """Read the next tensor record from an open binary stream."""
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ValueError(f"bad tensor magic {magic!r}, expected {_MAGIC!r}")
-    version, tag, rank = struct.unpack("<III", fh.read(12))
+    """Read the next tensor record from an open, seekable binary stream.
+
+    A cut or corrupt record raises ValueError.  Every size is checked against
+    the bytes left in the stream before it is read, so a corrupt extent
+    cannot ask for a huge allocation.
+    """
+    pos = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - pos
+    fh.seek(pos)
+    head = fh.read(16)
+    if head[:4] != _MAGIC:
+        raise ValueError(f"bad tensor magic {head[:4]!r}, expected {_MAGIC!r}")
+    if len(head) < 16:
+        raise ValueError(f"truncated tensor record: {len(head)}-byte header, expected 16")
+    version, tag, rank = struct.unpack("<III", head[4:])
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported tensor format version {version}")
     if tag not in _DTYPE_TAGS:
         raise ValueError(f"unknown dtype tag {tag}")
+    if rank > MAX_RANK:
+        raise ValueError(f"tensor rank {rank} exceeds {MAX_RANK}")
+    if 16 + 8 * rank > left:
+        raise ValueError(f"truncated tensor record: {left - 16} bytes left for "
+                         f"{rank} extents")
     shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-    count = int(np.prod(shape)) if rank else 1
     dtype = _DTYPE_TAGS[tag]
-    raw = fh.read(count * dtype.itemsize)
-    if len(raw) != count * dtype.itemsize:
-        raise ValueError("truncated tensor record")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    nbytes = math.prod(shape) * dtype.itemsize
+    if 16 + 8 * rank + nbytes > left:
+        raise ValueError(f"truncated tensor record: {left - 16 - 8 * rank} bytes left "
+                         f"for a {shape} {dtype} payload of {nbytes}")
+    return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
 
 
 def save_tensor(path, arr):

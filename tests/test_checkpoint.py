@@ -1,6 +1,11 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convctc import checkpoint
 from convctc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from convctc.ctc import Alphabet
 from convctc.features import NormalizationStats
@@ -91,3 +96,43 @@ class TestValidation:
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+class TestCrashSafety:
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, build_checkpoint())
+        before = path.read_bytes()
+        real_write = checkpoint.write_tensor
+        calls = []
+
+        def failing_write(fh, arr):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_write(fh, arr)
+
+        monkeypatch.setattr(checkpoint, "write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, build_checkpoint(dtype=np.float64))
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).params["conv1.w1"].dtype == np.float32
+        assert os.listdir(tmp_path) == ["last.ckpt"]
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(path / "full.ckpt", build_checkpoint())
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_prefix_of_a_checkpoint_raises_value_error(ckpt_dir, data):
+    full = (ckpt_dir / "full.ckpt").read_bytes()
+    cut = data.draw(st.integers(0, len(full) - 1), label="cut")
+    path = ckpt_dir / "cut.ckpt"
+    path.write_bytes(full[:cut])
+    with pytest.raises(ValueError):
+        load_checkpoint(path)

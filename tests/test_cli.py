@@ -147,6 +147,14 @@ class TestVerifyCommand:
         assert not ok
         assert worst > verify.GRAD_TOL
 
+    def test_unknown_suite_lists_only_real_names(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown suite 'bogus' (choose from gradcheck, ctc-oracle, shapes)" in err
+        assert "[]" not in err
+
     def test_cli_exit_code_on_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(verify, "GRAD_TOL", 0.0)
         monkeypatch.setitem(verify.SUITES, "gradcheck", verify.gradcheck_suite)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from convctc import optim
+from convctc import layers, optim
 from convctc.layers import log_softmax_frames
 from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network,
                              NetworkConfig, PoolSpec, figure3_config)
 from convctc.tensor import ShapeError
-from convctc.verify import network_loss_and_grads, toy_network
+from convctc.verify import (GRAD_TOL, central_diff, network_loss_and_grads, rel_error,
+                            toy_network)
 
 
 def small_net(alphabet_size=4):
@@ -14,6 +15,12 @@ def small_net(alphabet_size=4):
         ConvSpec(3, 3, 3), PoolSpec(2, 2), DenseSpec(5),
     ])
     return Network(config)
+
+
+def activation_net(activation):
+    return Network(NetworkConfig(channels=2, bands=7, alphabet_size=4, layers=[
+        ConvSpec(3, 3, 3, activation=activation), DenseSpec(5, activation=activation),
+    ]))
 
 
 class TestConfig:
@@ -59,12 +66,6 @@ class TestConfig:
         assert len([s for s in reduced.layers if isinstance(s, ConvSpec)]) == 4
         Network(reduced)          # geometry must build
 
-    def test_dropout_scope_switch(self):
-        dense_only = figure3_config(dropout_scope="dense")
-        assert len([s for s in dense_only.layers if isinstance(s, DropoutSpec)]) == 3
-        off = figure3_config(dropout=0.0)
-        assert not [s for s in off.layers if isinstance(s, DropoutSpec)]
-
 
 class TestBuild:
     def test_param_names_are_stable_and_ordered(self):
@@ -73,6 +74,23 @@ class TestBuild:
         assert names == ["conv1.w1", "conv1.b1", "conv1.w2", "conv1.b2",
                          "dense1.w1", "dense1.b1", "dense1.w2", "dense1.b2",
                          "output.w", "output.b"]
+        assert [n for n, _, _ in activation_net("relu").param_specs()] == [
+            "conv1.w", "conv1.b", "dense1.w", "dense1.b", "output.w", "output.b"]
+        assert activation_net("prelu").param_specs() == [
+            ("conv1.w", (3, 2, 3, 3), "weight"), ("conv1.b", (3,), "bias"),
+            ("conv1.alpha", (3,), "alpha"),
+            ("dense1.w", (5, 21), "weight"), ("dense1.b", (5,), "bias"),
+            ("dense1.alpha", (5,), "alpha"),
+            ("output.w", (4, 5), "weight"), ("output.b", (4,), "bias")]
+
+    @pytest.mark.parametrize("layer, match", [
+        (ConvSpec(2, 3, 3, activation="tanh"), "layer 0: activation 'tanh'"),
+        (DenseSpec(4, activation="maxuot"), "layer 0: activation 'maxuot'"),
+        (ConvSpec(2, 3, 3, freq_padding="Same"), "layer 0: freq_padding 'Same'"),
+    ])
+    def test_bad_layer_values_rejected_at_build(self, layer, match):
+        with pytest.raises(ValueError, match=match):
+            Network(NetworkConfig(1, 5, 3, [layer]))
 
     def test_maxout_conv_stores_two_filter_banks(self):
         net = Network(NetworkConfig(1, 5, 3, [ConvSpec(4, 3, 3)]))
@@ -197,6 +215,36 @@ class TestBackward:
         out, tapes = net.forward(rng.standard_normal((2, 7, 4)).astype(np.float32), params)
         with pytest.raises(ValueError, match="tapes"):
             net.backward(tapes[:-1], np.zeros_like(out))
+
+    @pytest.mark.parametrize("activation", ["relu", "prelu"])
+    def test_backward_matches_finite_differences(self, activation, monkeypatch):
+        net = activation_net(activation)
+        rng = np.random.default_rng(14)
+        params = {name: rng.standard_normal(shape) * 0.5
+                  for name, shape, _ in net.param_specs()}
+        for name, shape, kind in net.param_specs():
+            if kind == "alpha":
+                params[name] = rng.uniform(0.05, 0.5, shape)
+        x = rng.standard_normal((2, 7, 6))
+        target = [1, 2]
+        # finite differences are only valid off the kink at 0
+        seen = []
+        original = getattr(layers, activation)
+
+        def recording(h, *args):
+            seen.append(h)
+            return original(h, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(layers, activation, recording)
+            net.forward(x, params)
+        assert len(seen) == 2 and min(np.abs(h).min() for h in seen) > 1e-4
+        _, grads = network_loss_and_grads(net, params, x, target)
+        for name in grads:
+            def objective(v, name=name):
+                return network_loss_and_grads(net, {**params, name: v}, x, target)[0]
+            numeric = central_diff(objective, params[name])
+            assert rel_error(grads[name], numeric) <= GRAD_TOL, name
 
     def test_upstream_shape_mismatch_rejected(self):
         net = small_net()

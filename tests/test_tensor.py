@@ -3,60 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convctc.tensor import (ShapeError, load_tensor, logsumexp, map_elementwise,
-                            matmul, read_tensor, save_tensor, write_tensor)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(a, np.eye(2)), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_inner_extent_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rank_rejected(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_associativity_f64(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 3))
-            c = rng.standard_normal((3, 6))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-12
-
-
-class TestMapElementwise:
-    def test_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(map_elementwise(x, lambda v: v), x)
-
-    def test_constant_zero(self):
-        x = np.linspace(-1, 1, 12).reshape(3, 4)
-        np.testing.assert_array_equal(map_elementwise(x, lambda v: 0.0), np.zeros((3, 4)))
-
-    def test_negate(self):
-        np.testing.assert_array_equal(map_elementwise(np.array([1.0, -2.0]), lambda v: -v),
-                                      [-1.0, 2.0])
-
-    def test_shape_preserved_over_random_shapes(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            rank = int(rng.integers(1, 5))
-            shape = tuple(int(rng.integers(1, 5)) for _ in range(rank))
-            x = rng.standard_normal(shape)
-            assert map_elementwise(x, lambda v: v * 2).shape == shape
+from convctc.tensor import (MAX_RANK, load_tensor, logsumexp, read_tensor, save_tensor,
+                            write_tensor)
 
 
 class TestLogsumexp:
@@ -131,3 +82,29 @@ class TestBinaryFormat:
     def test_int_dtype_rejected(self):
         with pytest.raises(ValueError):
             write_tensor(io.BytesIO(), np.arange(3))
+
+    def test_rank_above_cap_rejected(self):
+        raw = b"TNSR" + struct.pack("<III", 1, 8, MAX_RANK + 1) + bytes(8 * (MAX_RANK + 1))
+        with pytest.raises(ValueError, match="rank"):
+            read_tensor(io.BytesIO(raw))
+
+    def test_huge_extent_rejected_before_reading(self):
+        raw = b"TNSR" + struct.pack("<III", 1, 8, 2) + struct.pack("<2Q", 2**40, 2**20)
+        with pytest.raises(ValueError, match="truncated"):
+            read_tensor(io.BytesIO(raw + bytes(64)))
+
+
+def _record(arr):
+    buf = io.BytesIO()
+    write_tensor(buf, arr)
+    return buf.getvalue()
+
+
+_RECORD = _record(np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_RECORD) - 1))
+def test_every_prefix_of_a_record_raises_value_error(cut):
+    with pytest.raises(ValueError):
+        read_tensor(io.BytesIO(_RECORD[:cut]))

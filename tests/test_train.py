@@ -162,17 +162,3 @@ class TestTrainLoop:
 def _unit_stats():
     from convctc.features import NormalizationStats
     return NormalizationStats(np.zeros((3, 8)), np.ones((3, 8)))
-
-
-class TestSortedBatching:
-    def test_sorted_order_by_frames(self):
-        rng = np.random.default_rng(4)
-        items = [Utterance(f"u{i}", rng.standard_normal((3, 4, f)).astype(np.float32), [1])
-                 for i, f in enumerate([9, 5, 12, 5])]
-        batches = make_batches(items, 2, sort_by_length=True)
-        assert [uid for b in batches for uid in b.ids] == ["u1", "u3", "u0", "u2"]
-
-    def test_sort_and_shuffle_exclusive(self):
-        with pytest.raises(ValueError):
-            make_batches([], 2, rng=np.random.default_rng(0), shuffle=True,
-                         sort_by_length=True)
