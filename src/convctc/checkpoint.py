@@ -9,7 +9,8 @@ Layout: magic "CCKP" | container version u32 | header length u64 | header
 JSON (canonical: sorted keys, no whitespace) | tensor records in the order
 the header lists them.  The canonical header and fixed tensor order make
 save -> load -> save byte-identical.  Saves are atomic, and a truncated
-file fails to load with ValueError.
+file, or a header missing an entry that loading reads, fails to load with
+ValueError.
 """
 
 import json
@@ -93,6 +94,36 @@ def save_checkpoint(path, ckpt):
         os.close(dir_fd)
 
 
+_HEADER_TYPES = {"config": dict, "alphabet": list, "params": list}
+_OPTIMIZER_KEYS = ("kind", "lr", "beta1", "beta2", "eps", "l2", "t", "kinds")
+
+
+def _check_header(path, header):
+    """Raise ValueError naming `path` unless the decoded header holds every
+    entry load_checkpoint reads, each of the JSON type it expects."""
+    def corrupt(problem):
+        return ValueError(f"{path}: corrupt checkpoint header: {problem}")
+
+    def expect(name, value, kind):
+        if not isinstance(value, kind):
+            raise corrupt(f"{name} is {type(value).__name__}, expected {kind.__name__}")
+
+    expect("the header", header, dict)
+    for key, kind in _HEADER_TYPES.items():
+        if key not in header:
+            raise corrupt(f"missing {key!r}")
+        expect(repr(key), header[key], kind)
+    expect("'meta'", header.get("meta", {}), dict)
+    opt = header.get("optimizer")
+    if opt is None:
+        return
+    expect("'optimizer'", opt, dict)
+    missing = [key for key in _OPTIMIZER_KEYS if key not in opt]
+    if missing:
+        raise corrupt(f"'optimizer' is missing {', '.join(missing)}")
+    expect("'optimizer.kinds'", opt["kinds"], dict)
+
+
 def load_checkpoint(path):
     """Load and validate: parameter names and shapes must match the config."""
     with open(path, "rb") as fh:
@@ -109,6 +140,7 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: truncated checkpoint: header of {header_len} bytes, "
                              f"{left} left")
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        _check_header(path, header)
 
         config = NetworkConfig.from_json(header["config"])
         alphabet = Alphabet(header["alphabet"])

@@ -31,26 +31,25 @@ def levenshtein(ref, hyp):
     Ties resolve match/substitution first, then deletion, then insertion,
     so the reported S/I/D split is deterministic.
     """
-    ref = list(ref)
     hyp = list(hyp)
-    prev = [EditCounts(j, 0, j, 0) for j in range(len(hyp) + 1)]
-    for i in range(1, len(ref) + 1):
-        row = [EditCounts(i, 0, 0, i)]
-        for j in range(1, len(hyp) + 1):
-            if ref[i - 1] == hyp[j - 1]:
-                best = prev[j - 1]
-            else:
-                best = EditCounts(prev[j - 1].distance + 1, prev[j - 1].substitutions + 1,
-                                  prev[j - 1].insertions, prev[j - 1].deletions)
-            if prev[j].distance + 1 < best.distance:
-                best = EditCounts(prev[j].distance + 1, prev[j].substitutions,
-                                  prev[j].insertions, prev[j].deletions + 1)
-            if row[j - 1].distance + 1 < best.distance:
-                best = EditCounts(row[j - 1].distance + 1, row[j - 1].substitutions,
-                                  row[j - 1].insertions + 1, row[j - 1].deletions)
+    # cells are (distance, substitutions, insertions, deletions) tuples
+    prev = [(j, 0, j, 0) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, 1):
+        left = (i, 0, 0, i)
+        row = [left]
+        for j, h in enumerate(hyp, 1):
+            best = prev[j - 1]
+            if r != h:
+                best = (best[0] + 1, best[1] + 1, best[2], best[3])
+            up = prev[j]
+            if up[0] + 1 < best[0]:
+                best = (up[0] + 1, up[1], up[2], up[3] + 1)
+            if left[0] + 1 < best[0]:
+                best = (left[0] + 1, left[1], left[2] + 1, left[3])
             row.append(best)
+            left = best
         prev = row
-    return prev[-1]
+    return EditCounts(*prev[-1])
 
 
 def load_mapping(path, alphabet):

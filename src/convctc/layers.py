@@ -159,13 +159,15 @@ class MaxoutTape:
 
 
 def maxout2(h1, h2):
-    """Elementwise max of the two candidate maps; ties go to the first branch."""
+    """Elementwise max of the two candidate maps; ties go to the first branch.
+
+    A NaN in either map reaches the output.
+    """
     h1 = np.asarray(h1)
     h2 = np.asarray(h2)
     if h1.shape != h2.shape:
         raise ShapeError(f"maxout candidates differ in shape: {h1.shape} vs {h2.shape}")
-    first_wins = h1 >= h2
-    return np.where(first_wins, h1, h2), MaxoutTape(first_wins)
+    return np.maximum(h1, h2), MaxoutTape(h1 >= h2)
 
 
 def maxout2_backward(tape, grad_out):
@@ -179,10 +181,15 @@ def maxout2_backward(tape, grad_out):
 
 @dataclass
 class PoolTape:
-    in_shape: tuple
+    x: np.ndarray             # the forward input itself, not a copy
+    out: np.ndarray           # the pooled maxima the forward returned
     pool: int
     step: int
-    argmax: np.ndarray        # offset of the winner inside each window
+
+
+def _window_span(bands, pool, step):
+    """Extent of the slice x[:, j:j + span:step] that holds band j of every window."""
+    return (bands - pool) // step * step + 1
 
 
 def maxpool_freq(x, pool, step):
@@ -190,7 +197,10 @@ def maxpool_freq(x, pool, step):
 
     Time is untouched: every pooled value takes its window at a fixed frame.
     Trailing bands that do not fill a window are discarded, so the pooled
-    band count is floor((b - pool) / step) + 1.
+    band count is floor((b - pool) / step) + 1.  Windows may overlap
+    (pool > step) or leave gaps (pool < step).  When a window holds several
+    equal maxima, the backward pass routes its gradient to the first
+    (lowest) of those bands, as argmax would.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -199,18 +209,26 @@ def maxpool_freq(x, pool, step):
         raise ValueError(f"pool size and step must be >= 1, got {pool}, {step}")
     if x.shape[1] < pool:
         raise ShapeError(f"pool size {pool} exceeds band count {x.shape[1]}")
-    windows = sliding_window_view(x, pool, axis=1)[:, ::step]     # [k, r, f, pool]
-    idx = np.argmax(windows, axis=3)
-    out = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
-    return out, PoolTape(x.shape, pool, step, idx)
+    span = _window_span(x.shape[1], pool, step)
+    out = x[:, :span:step].copy()
+    for j in range(1, pool):
+        np.maximum(out, x[:, j:j + span:step], out=out)
+    return out, PoolTape(x, out, pool, step)
 
 
 def maxpool_freq_backward(tape, grad_out):
-    k, r, f = grad_out.shape
-    grad_x = np.zeros(tape.in_shape, dtype=grad_out.dtype)
-    ki, ri, fi = np.ogrid[:k, :r, :f]
-    bands = ri * tape.step + tape.argmax
-    np.add.at(grad_x, (ki, bands, fi), grad_out)
+    grad_out = np.asarray(grad_out)
+    if grad_out.shape != tape.out.shape:
+        raise ShapeError(f"pool grad shape {grad_out.shape} does not match forward output "
+                         f"{tape.out.shape}")
+    x, step = tape.x, tape.step
+    span = _window_span(x.shape[1], tape.pool, step)
+    grad_x = np.zeros(x.shape, dtype=grad_out.dtype)
+    unclaimed = np.ones(grad_out.shape, dtype=bool)     # windows whose winner is not yet found
+    for j in range(tape.pool):
+        wins = unclaimed & (x[:, j:j + span:step] == tape.out)
+        grad_x[:, j:j + span:step] += grad_out * wins
+        unclaimed &= ~wins
     return grad_x
 
 

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -96,6 +98,57 @@ class TestValidation:
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of the checkpoint at `path` with edit(header)."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    blob = json.dumps(edit(json.loads(raw[16:16 + n]))).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+
+
+def _drop_optimizer_lr(header):
+    del header["optimizer"]["lr"]
+    return header
+
+
+class TestCorruptHeader:
+    def test_flipped_key_raises_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "flipped.ckpt"
+        save_checkpoint(path, build_checkpoint())
+        raw = path.read_bytes()
+        assert raw.count(b'"params"') == 1
+        path.write_bytes(raw.replace(b'"params"', b'"barams"'))
+        with pytest.raises(ValueError, match="missing 'params'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda h: [h], "the header is list, expected dict"),
+        (lambda h: "checkpoint", "the header is str, expected dict"),
+        (lambda h: {**h, "params": 7}, "'params' is int, expected list"),
+        (lambda h: {**h, "alphabet": 3}, "'alphabet' is int, expected list"),
+        (lambda h: {**h, "meta": []}, "'meta' is list, expected dict"),
+        (lambda h: {**h, "optimizer": "adam"}, "'optimizer' is str, expected dict"),
+        (_drop_optimizer_lr, "'optimizer' is missing lr"),
+        (lambda h: {**h, "optimizer": {**h["optimizer"], "kinds": []}}, "'optimizer.kinds' is list, expected dict"),
+    ], ids=["list", "string", "params-int", "alphabet-int", "meta-list", "optimizer-string",
+            "optimizer-no-lr", "optimizer-kinds-list"])
+    def test_malformed_header_raises_value_error(self, tmp_path, edit, problem):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, build_checkpoint())
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError, match="corrupt checkpoint header") as err:
+            load_checkpoint(path)
+        assert problem in str(err.value)
+        assert str(path) in str(err.value)
+
+    def test_rewritten_unchanged_header_still_loads(self, tmp_path):
+        path = tmp_path / "same.ckpt"
+        save_checkpoint(path, build_checkpoint())
+        rewrite_header(path, lambda h: h)
+        assert load_checkpoint(path).optimizer.lr == 1e-4
 
 
 class TestCrashSafety:

@@ -42,7 +42,8 @@ class TestTrainCommand:
         assert run_training(corpus, out) == 0
         assert os.path.exists(os.path.join(out, "best.ckpt"))
         assert os.path.exists(os.path.join(out, "last.ckpt"))
-        lines = open(os.path.join(out, "metrics.jsonl")).read().splitlines()
+        with open(os.path.join(out, "metrics.jsonl")) as fh:
+            lines = fh.read().splitlines()
         assert len(lines) == 2
         for i, line in enumerate(lines, 1):
             doc = json.loads(line)
@@ -56,7 +57,8 @@ class TestTrainCommand:
         run_training(corpus, out, epochs=2)
         run_training(corpus, out, epochs=1,
                      extra=["--resume", os.path.join(out, "last.ckpt")])
-        lines = open(os.path.join(out, "metrics.jsonl")).read().splitlines()
+        with open(os.path.join(out, "metrics.jsonl")) as fh:
+            lines = fh.read().splitlines()
         assert [json.loads(l)["epoch"] for l in lines] == [1, 2, 3]
 
     def test_stage_switch_on_resume(self, corpus, tmp_path):
@@ -65,7 +67,8 @@ class TestTrainCommand:
         out2 = str(tmp_path / "finetune")
         run_training(corpus, out2, epochs=1,
                      extra=["--resume", os.path.join(out, "best.ckpt"), "--stage", "sgd"])
-        doc = json.loads(open(os.path.join(out2, "metrics.jsonl")).readline())
+        with open(os.path.join(out2, "metrics.jsonl")) as fh:
+            doc = json.loads(fh.readline())
         assert doc["stage"] == "sgd"
         ck = load_checkpoint(os.path.join(out2, "last.ckpt"))
         assert ck.optimizer.kind == "sgd"
@@ -103,7 +106,8 @@ class TestEvalAndDecode:
                      "--report", report_path]) == 0
         printed = capsys.readouterr().out
         assert "label error rate" in printed
-        doc = json.load(open(report_path))
+        with open(report_path) as fh:
+            doc = json.load(fh)
         assert doc["total_reference_length"] > 0
         assert len(doc["utterances"]) == 6
 

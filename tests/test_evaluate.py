@@ -3,7 +3,7 @@ import pytest
 
 from convctc.ctc import Alphabet
 from convctc.data import Utterance
-from convctc.evaluate import evaluate, levenshtein, load_mapping
+from convctc.evaluate import EditCounts, evaluate, levenshtein, load_mapping
 from convctc.network import DenseSpec, Network, NetworkConfig
 from convctc.optim import init_uniform
 
@@ -53,6 +53,40 @@ class TestLevenshtein:
             ref = tuple(rng.integers(0, 3, size=rng.integers(0, 6)))
             hyp = tuple(rng.integers(0, 3, size=rng.integers(0, 6)))
             assert levenshtein(ref, hyp).distance == brute(ref, hyp)
+
+    def test_matches_edit_counts_reference(self):
+        rng = np.random.default_rng(2)
+        pairs = [([], []), ([], ["a"]), (["a", "b"], [])]
+        for _ in range(500):
+            ref = [f"s{v}" for v in rng.integers(0, 4, size=rng.integers(0, 12))]
+            hyp = [f"s{v}" for v in rng.integers(0, 4, size=rng.integers(0, 12))]
+            pairs.append((ref, hyp))
+        for ref, hyp in pairs:
+            assert levenshtein(ref, hyp) == reference_levenshtein(ref, hyp), (ref, hyp)
+
+
+def reference_levenshtein(ref, hyp):
+    """The EditCounts-per-cell DP that levenshtein replaced, kept as its reference."""
+    ref = list(ref)
+    hyp = list(hyp)
+    prev = [EditCounts(j, 0, j, 0) for j in range(len(hyp) + 1)]
+    for i in range(1, len(ref) + 1):
+        row = [EditCounts(i, 0, 0, i)]
+        for j in range(1, len(hyp) + 1):
+            if ref[i - 1] == hyp[j - 1]:
+                best = prev[j - 1]
+            else:
+                best = EditCounts(prev[j - 1].distance + 1, prev[j - 1].substitutions + 1,
+                                  prev[j - 1].insertions, prev[j - 1].deletions)
+            if prev[j].distance + 1 < best.distance:
+                best = EditCounts(prev[j].distance + 1, prev[j].substitutions,
+                                  prev[j].insertions, prev[j].deletions + 1)
+            if row[j - 1].distance + 1 < best.distance:
+                best = EditCounts(row[j - 1].distance + 1, row[j - 1].substitutions,
+                                  row[j - 1].insertions + 1, row[j - 1].deletions)
+            row.append(best)
+        prev = row
+    return prev[-1]
 
 
 class TestMapping:

@@ -1,9 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from convctc import layers
 from convctc.tensor import ShapeError
-from convctc.verify import central_diff, rel_error
+from convctc.verify import GRAD_TOL, central_diff, rel_error
+
+
+# The gather-based kernels that layers.maxout2 and layers.maxpool_freq
+# replaced, kept as references for the differential tests below.
+
+def reference_maxout2(h1, h2):
+    first_wins = h1 >= h2
+    return np.where(first_wins, h1, h2), first_wins
+
+
+def reference_maxpool_freq(x, pool, step):
+    windows = sliding_window_view(x, pool, axis=1)[:, ::step]      # [k, r, f, pool]
+    idx = np.argmax(windows, axis=3)
+    return np.take_along_axis(windows, idx[..., None], axis=3)[..., 0], idx
+
+
+def reference_maxpool_freq_backward(in_shape, step, idx, grad_out):
+    k, r, f = grad_out.shape
+    grad_x = np.zeros(in_shape, dtype=grad_out.dtype)
+    ki, ri, fi = np.ogrid[:k, :r, :f]
+    np.add.at(grad_x, (ki, ri * step + idx, fi), grad_out)
+    return grad_x
+
+
+@st.composite
+def pool_cases(draw):
+    """Shapes and (pool, step) with overlapping windows (pool > step), gaps
+    (pool < step), pool == step and trailing bands that fill no window."""
+    k = draw(st.integers(1, 3), label="k")
+    bands = draw(st.integers(1, 13), label="bands")
+    frames = draw(st.integers(1, 5), label="frames")
+    pool = draw(st.integers(1, bands), label="pool")
+    step = draw(st.integers(1, 5), label="step")
+    dtype = draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return (k, bands, frames), pool, step, dtype, np.random.default_rng(seed)
 
 
 class TestConv2d:
@@ -152,6 +191,29 @@ class TestActivations:
         with pytest.raises(ShapeError):
             layers.maxout2(np.zeros(3), np.zeros(4))
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_maxout_matches_where_reference_with_ties(self, shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        h1, h2 = (rng.integers(-2, 3, shape).astype(dtype) for _ in range(2))
+        grad = rng.standard_normal(shape).astype(dtype)
+        out, tape = layers.maxout2(h1, h2)
+        expected, first_wins = reference_maxout2(h1, h2)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+        g1, g2 = layers.maxout2_backward(tape, grad)
+        np.testing.assert_array_equal(g1, grad * first_wins)
+        np.testing.assert_array_equal(g2, grad * ~first_wins)
+
+    @pytest.mark.parametrize("nan_in", [0, 1])
+    def test_maxout_nan_in_either_half_reaches_output(self, nan_in):
+        halves = [np.array([1.0, 2.0, -3.0]), np.array([0.0, 5.0, -4.0])]
+        halves[nan_in][1] = np.nan
+        out, _ = layers.maxout2(*halves)
+        assert np.isnan(out[1])
+        np.testing.assert_array_equal(out[[0, 2]], [1.0, -3.0])
+
 
 class TestMaxpoolFreq:
     def test_single_window(self):
@@ -201,6 +263,66 @@ class TestMaxpoolFreq:
         _, tape = layers.maxpool_freq(x, 3, 3)
         gx = layers.maxpool_freq_backward(tape, np.array([[[2.0]]]))
         np.testing.assert_array_equal(gx, [[[0.0], [2.0], [0.0]]])
+
+    def test_backward_ties_go_to_first_band(self):
+        # bands 1 and 2 tie in window 0 (bands 0-2) and window 1 (bands 2-4)
+        x = np.array([0.0, 4.0, 4.0, 1.0, 4.0]).reshape(1, 5, 1)
+        out, tape = layers.maxpool_freq(x, 3, 2)
+        np.testing.assert_array_equal(out, [[[4.0], [4.0]]])
+        gx = layers.maxpool_freq_backward(tape, np.array([[[2.0], [3.0]]]))
+        np.testing.assert_array_equal(gx[0, :, 0], [0.0, 2.0, 3.0, 0.0, 0.0])
+
+    def test_backward_grad_shape_mismatch_rejected(self):
+        _, tape = layers.maxpool_freq(np.zeros((1, 6, 2)), 3, 3)
+        with pytest.raises(ShapeError):
+            layers.maxpool_freq_backward(tape, np.zeros((1, 1, 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pool_cases())
+    def test_matches_argmax_reference_with_ties(self, case):
+        # Integer-valued inputs make ties common.  The gradients are integer
+        # valued too: where three or more overlapping windows route to one
+        # band, the kernel and np.add.at sum in different orders, and small
+        # integer sums are exact in any order, so only a routing difference
+        # can make the results unequal.
+        shape, pool, step, dtype, rng = case
+        x = rng.integers(-2, 3, shape).astype(dtype)
+        out, tape = layers.maxpool_freq(x, pool, step)
+        expected, idx = reference_maxpool_freq(x, pool, step)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+        grad = rng.integers(-3, 4, out.shape).astype(dtype)
+        gx = layers.maxpool_freq_backward(tape, grad)
+        ref = reference_maxpool_freq_backward(x.shape, step, idx, grad)
+        assert gx.dtype == ref.dtype
+        np.testing.assert_array_equal(gx, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pool_cases())
+    def test_matches_argmax_reference_on_real_values(self, case):
+        shape, pool, step, dtype, rng = case
+        x = rng.standard_normal(shape).astype(dtype)
+        out, tape = layers.maxpool_freq(x, pool, step)
+        expected, idx = reference_maxpool_freq(x, pool, step)
+        np.testing.assert_array_equal(out, expected)
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        gx = layers.maxpool_freq_backward(tape, grad)
+        ref = reference_maxpool_freq_backward(x.shape, step, idx, grad)
+        # summation order over overlapping windows may differ in the last bits
+        tol = 4 * np.finfo(dtype).eps * max(1.0, float(np.abs(grad).max())) * pool
+        np.testing.assert_allclose(gx, ref, rtol=0, atol=tol)
+
+    def test_backward_overlapping_windows_match_central_differences(self):
+        rng = np.random.default_rng(19)
+        # distinct values 0.1 apart: no ties, and no finite-difference step
+        # moves a window's winner
+        x = rng.permutation(2 * 9 * 3).reshape(2, 9, 3) * 0.1
+        proj = rng.standard_normal((2, 4, 3))
+        out, tape = layers.maxpool_freq(x, 3, 2)
+        analytic = layers.maxpool_freq_backward(tape, proj)
+        numeric = central_diff(lambda u: float((layers.maxpool_freq(u, 3, 2)[0] * proj).sum()), x)
+        assert rel_error(analytic, numeric) <= GRAD_TOL
+        assert np.count_nonzero(analytic) < x.size       # losers get no gradient
 
 
 class TestDense:
