@@ -24,7 +24,7 @@ from .ctc import Alphabet
 from .features import NormalizationStats
 from .network import Network, NetworkConfig
 from .optim import OptimizerState
-from .tensor import ShapeError, read_tensor, write_tensor
+from .tensor import ShapeError, atomic_write, read_tensor, write_tensor
 
 _MAGIC = b"CCKP"
 CONTAINER_VERSION = 1
@@ -41,9 +41,8 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt):
-    """Write atomically: the bundle goes to `path`.tmp, is flushed and
-    fsynced, then renamed onto `path`, so a crash mid-save leaves the
-    previous file whole."""
+    """Write atomically (see tensor.atomic_write): a crash mid-save leaves
+    the previous file whole."""
     names = list(ckpt.params.keys())
     header = {
         "config": ckpt.config.to_json(),
@@ -63,35 +62,20 @@ def save_checkpoint(path, ckpt):
         header["optimizer"] = None
 
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IQ", CONTAINER_VERSION, len(blob)))
-            fh.write(blob)
+    with atomic_write(path) as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<IQ", CONTAINER_VERSION, len(blob)))
+        fh.write(blob)
+        for name in names:
+            write_tensor(fh, ckpt.params[name])
+        if ckpt.optimizer is not None and ckpt.optimizer.m:
             for name in names:
-                write_tensor(fh, ckpt.params[name])
-            if ckpt.optimizer is not None and ckpt.optimizer.m:
-                for name in names:
-                    write_tensor(fh, ckpt.optimizer.m[name])
-                for name in names:
-                    write_tensor(fh, ckpt.optimizer.v[name])
-            if ckpt.stats is not None:
-                write_tensor(fh, ckpt.stats.means.astype(np.float64))
-                write_tensor(fh, ckpt.stats.stds.astype(np.float64))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    # make the rename itself durable
-    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+                write_tensor(fh, ckpt.optimizer.m[name])
+            for name in names:
+                write_tensor(fh, ckpt.optimizer.v[name])
+        if ckpt.stats is not None:
+            write_tensor(fh, ckpt.stats.means.astype(np.float64))
+            write_tensor(fh, ckpt.stats.stds.astype(np.float64))
 
 
 _HEADER_TYPES = {"config": dict, "alphabet": list, "params": list}

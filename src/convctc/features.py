@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import read_tensor, write_tensor
+from .tensor import atomic_write, read_tensor, write_tensor
 
 DELTA_WINDOW = 2
 VARIANCE_FLOOR = 1e-8
@@ -99,7 +99,9 @@ def assemble_input(static, stats=None, window=DELTA_WINDOW, dtype=None):
 
 
 def save_stats(path, stats):
-    with open(path, "wb") as fh:
+    """Write atomically (see tensor.atomic_write): a failed save leaves the
+    previous file whole."""
+    with atomic_write(path) as fh:
         write_tensor(fh, stats.means.astype(np.float64))
         write_tensor(fh, stats.stds.astype(np.float64))
 

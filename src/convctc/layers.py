@@ -9,6 +9,9 @@ Feature tensors are [channels x bands x frames] with time last; convolution
 always zero-pads the time axis so the frame count survives every layer.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,81 @@ from .tensor import ShapeError
 def _same_pad(size):
     left = (size - 1) // 2
     return left, size - 1 - left
+
+
+# ---------------------------------------------------------------------------
+# two-way row split of the big GEMMs
+# ---------------------------------------------------------------------------
+
+# A conv or dense GEMM of at least this many multiply-adds runs as two row
+# halves at the same time, one on the calling thread and one on a worker.
+# On a 2-core x86-64 VM with OpenBLAS at 1 thread, splitting the forward and
+# backward of a 3x5 conv broke even between 1.6e7 and 3.2e7 multiply-adds
+# with 32 input channels, and between 2.8e7 and 4.7e7 with 3; below that
+# the hand-off costs more than the second core gains.
+SPLIT_MIN_MULADDS = 5e7
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_pool = None
+_pool_pid = None
+_pool_lock = threading.Lock()
+
+
+def _halves_run_together():
+    """True when both halves of a split get a core of their own: the process
+    may use at least two cores, and the environment pins BLAS to one thread
+    (one of BLAS_THREAD_VARS is set and none asks for more than one).  An
+    unpinned OpenBLAS already runs every GEMM on every core."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = [os.environ[var].strip() for var in BLAS_THREAD_VARS if os.environ.get(var)]
+    return cores >= 2 and bool(threads) and all(t == "1" for t in threads)
+
+
+def _split(muladds, *arrays):
+    """Whether a GEMM of `muladds` multiply-adds over `arrays` runs as two halves."""
+    return (muladds >= SPLIT_MIN_MULADDS and len({a.dtype for a in arrays}) == 1
+            and _halves_run_together())
+
+
+def _executor():
+    """The one-worker pool, made on first use and made again after a fork."""
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="convctc-gemm")
+            _pool_pid = os.getpid()
+        return _pool
+
+
+def _in_halves(task):
+    """Run task(1) on the worker and task(0) here, and return when both are
+    done; an exception in either re-raises here.  Tasks call only numpy, which
+    releases the interpreter lock in BLAS and ufunc loops, and write only into
+    buffers the caller allocated."""
+    future = _executor().submit(task, 1)
+    try:
+        task(0)
+    finally:
+        future.result()
+
+
+def _half(n, i):
+    """Half `i` (0 or 1) of range(n) as a slice; half 0 gets the odd one."""
+    mid = (n + 1) // 2
+    return slice(0, mid) if i == 0 else slice(mid, n)
+
+
+def _split_affine(w, x, biases):
+    """w @ x + biases[:, None], its output rows computed in two halves."""
+    out = np.empty((w.shape[0], x.shape[1]), dtype=x.dtype)
+
+    def rows(i):
+        r = _half(w.shape[0], i)
+        np.matmul(w[r], x, out=out[r])
+        out[r] += biases[r, None]
+
+    _in_halves(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +147,44 @@ def conv2d_forward(x, weights, biases, freq_padding="same"):
     padded = np.pad(x, ((0, 0), (fl, fr), (tl, tr)))
     out_b = padded.shape[1] - m + 1
     out_f = padded.shape[2] - n + 1
-    patches = _patch_matrix(padded, m, n)                     # [c*m*n, out_b*out_f]
-    out = weights.reshape(k, -1) @ patches + biases[:, None]
+    w2 = weights.reshape(k, -1)
+    if _split(w2.size * out_b * out_f, padded, weights, biases):
+        patches = np.empty((w2.shape[1], out_b * out_f), dtype=padded.dtype)
+        _in_halves(lambda i: _fill_patches(patches, padded, _half(c, i), m, n))
+        out = _split_affine(w2, patches, biases)
+    else:
+        patches = _patch_matrix(padded, m, n)                 # [c*m*n, out_b*out_f]
+        out = w2 @ patches + biases[:, None]
     out = out.reshape(k, out_b, out_f)
     tape = ConvTape(padded, weights, (fl, tl), x.shape, out.shape)
     return out, tape
 
 
 def _patch_matrix(padded, m, n):
-    c = padded.shape[0]
-    win = sliding_window_view(padded, (m, n), axis=(1, 2))    # [c, b', f', m, n]
-    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * m * n, -1)
+    c, b, f = padded.shape
+    patches = np.empty((c * m * n, (b - m + 1) * (f - n + 1)), dtype=padded.dtype)
+    _fill_patches(patches, padded, slice(0, c), m, n)
+    return patches
+
+
+def _channel_rows(ch, m, n):
+    """The rows of a patch matrix that hold the input channels `ch`."""
+    return slice(ch.start * m * n, ch.stop * m * n)
+
+
+def _fill_patches(patches, padded, ch, m, n):
+    """Write the rows of the im2col matrix [c*m*n, b'*f'] that hold the channels `ch`."""
+    win = sliding_window_view(padded[ch], (m, n), axis=(1, 2))    # [c, b', f', m, n]
+    rows = patches[_channel_rows(ch, m, n)]
+    rows.reshape(win.shape[0], m, n, *win.shape[1:3])[...] = win.transpose(0, 3, 4, 1, 2)
+
+
+def _col2im(grad_padded, grad_patches, m, n, out_b, out_f):
+    """Add each patch-matrix row onto the padded input positions it was read from."""
+    cols = grad_patches.reshape(grad_padded.shape[0], m, n, out_b, out_f)
+    for dm in range(m):
+        for dn in range(n):
+            grad_padded[:, dm:dm + out_b, dn:dn + out_f] += cols[:, dm, dn]
 
 
 def conv2d_backward(tape, grad_out):
@@ -92,14 +197,31 @@ def conv2d_backward(tape, grad_out):
     gy = grad_out.reshape(k, -1)
 
     grad_b = grad_out.sum(axis=(1, 2))
-    patches = _patch_matrix(tape.padded, m, n)
-    grad_w = (gy @ patches.T).reshape(k, c, m, n)
-
-    grad_patches = (tape.weights.reshape(k, -1).T @ gy).reshape(c, m, n, out_b, out_f)
+    w2 = tape.weights.reshape(k, -1)
     grad_padded = np.zeros_like(tape.padded)
-    for dm in range(m):
-        for dn in range(n):
-            grad_padded[:, dm:dm + out_b, dn:dn + out_f] += grad_patches[:, dm, dn]
+    if _split(w2.size * gy.shape[1], tape.padded, tape.weights, grad_out):
+        patches = np.empty((w2.shape[1], gy.shape[1]), dtype=gy.dtype)
+        grad_patches = np.empty_like(patches)
+        grad_w = np.empty(w2.shape, dtype=w2.dtype)
+
+        def channels(i):
+            ch = _half(c, i)
+            rows = _channel_rows(ch, m, n)
+            _fill_patches(patches, tape.padded, ch, m, n)
+            np.matmul(w2[:, rows].T, gy, out=grad_patches[rows])
+            _col2im(grad_padded[ch], grad_patches[rows], m, n, out_b, out_f)
+
+        def maps(i):
+            r = _half(k, i)
+            np.matmul(gy[r], patches.T, out=grad_w[r])
+
+        _in_halves(channels)
+        _in_halves(maps)
+        grad_w = grad_w.reshape(k, c, m, n)
+    else:
+        patches = _patch_matrix(tape.padded, m, n)
+        grad_w = (gy @ patches.T).reshape(k, c, m, n)
+        _col2im(grad_padded, w2.T @ gy, m, n, out_b, out_f)
     fl, tl = tape.pads
     _, bands, frames = tape.in_shape
     grad_x = grad_padded[:, fl:fl + bands, tl:tl + frames]
@@ -116,9 +238,9 @@ class ReluTape:
 
 
 def relu(h):
+    """max(h, 0); a NaN reaches the output and gets no gradient."""
     h = np.asarray(h)
-    mask = h > 0
-    return np.where(mask, h, h.dtype.type(0)), ReluTape(mask)
+    return np.maximum(h, h.dtype.type(0)), ReluTape(h > 0)
 
 
 def relu_backward(tape, grad_out):
@@ -134,22 +256,27 @@ class PreluTape:
 
 
 def prelu(h, alpha):
-    """Slope alpha on the negative side, one trainable scalar per feature map."""
+    """Slope alpha on the negative side, one trainable scalar per feature map.
+
+    A NaN reaches the output.
+    """
     h = np.asarray(h)
     alpha = np.asarray(alpha)
     if alpha.shape != (h.shape[0],):
         raise ShapeError(f"prelu needs one alpha per map: got {alpha.shape} for {h.shape[0]} maps")
     a = alpha.reshape((-1,) + (1,) * (h.ndim - 1))
-    mask = h > 0
-    out = np.where(mask, h, a * h)
-    return out.astype(h.dtype, copy=False), PreluTape(h, alpha, mask)
+    zero = h.dtype.type(0)
+    # max(h, 0) + a * min(h, 0): one of the two terms is zero, so each
+    # value is exactly h or a * h
+    out = np.maximum(h, zero) + a * np.minimum(h, zero)
+    return out.astype(h.dtype, copy=False), PreluTape(h, alpha, h > 0)
 
 
 def prelu_backward(tape, grad_out):
     a = tape.alpha.reshape((-1,) + (1,) * (tape.h.ndim - 1))
-    grad_h = grad_out * np.where(tape.mask, np.ones_like(a), a)
-    neg = grad_out * tape.h * ~tape.mask
-    grad_alpha = neg.reshape(tape.h.shape[0], -1).sum(axis=1)
+    grad_neg = grad_out * ~tape.mask
+    grad_h = grad_out * tape.mask + grad_neg * a
+    grad_alpha = (grad_neg * tape.h).reshape(tape.h.shape[0], -1).sum(axis=1)
     return grad_h, grad_alpha
 
 
@@ -250,13 +377,29 @@ def dense_forward(x, weights, biases):
         raise ShapeError(f"dense input must be [d x f], got shape {x.shape}")
     if weights.shape[1] != x.shape[0]:
         raise ShapeError(f"dense expects input width {weights.shape[1]}, got {x.shape[0]}")
-    out = weights @ x + np.asarray(biases)[:, None]
+    biases = np.asarray(biases)
+    if _split(weights.size * x.shape[1], x, weights, biases):
+        out = _split_affine(weights, x, biases)
+    else:
+        out = weights @ x + biases[:, None]
     return out, DenseTape(x, weights)
 
 
 def dense_backward(tape, grad_out):
-    grad_x = tape.weights.T @ grad_out
-    grad_w = grad_out @ tape.x.T
+    w, x = tape.weights, tape.x
+    if _split(w.size * x.shape[1], x, w, grad_out):
+        grad_x = np.empty(x.shape, dtype=x.dtype)
+        grad_w = np.empty(w.shape, dtype=w.dtype)
+
+        def halves(i):
+            inputs, outputs = _half(w.shape[1], i), _half(w.shape[0], i)
+            np.matmul(w[:, inputs].T, grad_out, out=grad_x[inputs])
+            np.matmul(grad_out[outputs], x.T, out=grad_w[outputs])
+
+        _in_halves(halves)
+    else:
+        grad_x = w.T @ grad_out
+        grad_w = grad_out @ x.T
     grad_b = grad_out.sum(axis=1)
     return grad_x, grad_w, grad_b
 

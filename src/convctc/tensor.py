@@ -12,6 +12,7 @@ normalization stats, and checkpoints:
     | rank u32 | extents u64 each | raw scalars, little-endian, row-major
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -92,6 +93,33 @@ def read_tensor(fh):
         raise ValueError(f"truncated tensor record: {left - 16 - 8 * rank} bytes left "
                          f"for a {shape} {dtype} payload of {nbytes}")
     return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a binary stream whose bytes replace `path` only once all are on disk.
+
+    The stream writes `path`.tmp; when the block ends, the file is flushed,
+    fsynced and renamed onto `path`, and the directory is fsynced so the
+    rename survives a crash too.  If the block raises, the temporary file is
+    removed and `path` keeps its previous bytes.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save_tensor(path, arr):

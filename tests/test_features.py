@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from convctc import features
 from convctc.features import (NormalizationStats, assemble_input, compute_deltas,
                               fit_normalization, load_stats, save_stats, stack_channels)
 
@@ -125,3 +128,23 @@ class TestStatsFile:
         back = load_stats(path)
         np.testing.assert_array_equal(back.means, stats.means)
         np.testing.assert_array_equal(back.stds, stats.stds)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "stats.tnsr"
+        save_stats(path, fit_normalization([rng.standard_normal((5, 20))]))
+        before = path.read_bytes()
+        real_write = features.write_tensor
+        calls = []
+
+        def failing_write(fh, arr):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_write(fh, arr)
+
+        monkeypatch.setattr(features, "write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_stats(path, fit_normalization([rng.standard_normal((5, 30))]))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["stats.tnsr"]

@@ -1,10 +1,15 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from convctc import layers
+from convctc import layers, verify
 from convctc.tensor import ShapeError
 from convctc.verify import GRAD_TOL, central_diff, rel_error
 
@@ -15,6 +20,27 @@ from convctc.verify import GRAD_TOL, central_diff, rel_error
 def reference_maxout2(h1, h2):
     first_wins = h1 >= h2
     return np.where(first_wins, h1, h2), first_wins
+
+
+# The np.where kernels that layers.relu, layers.prelu and
+# layers.prelu_backward replaced, kept as references.
+
+def reference_relu(h):
+    mask = h > 0
+    return np.where(mask, h, h.dtype.type(0)), mask
+
+
+def reference_prelu(h, alpha):
+    a = alpha.reshape((-1,) + (1,) * (h.ndim - 1))
+    return np.where(h > 0, h, a * h).astype(h.dtype, copy=False)
+
+
+def reference_prelu_backward(h, alpha, grad_out):
+    a = alpha.reshape((-1,) + (1,) * (h.ndim - 1))
+    mask = h > 0
+    grad_h = grad_out * np.where(mask, np.ones_like(a), a)
+    neg = grad_out * h * ~mask
+    return grad_h, neg.reshape(h.shape[0], -1).sum(axis=1)
 
 
 def reference_maxpool_freq(x, pool, step):
@@ -206,6 +232,46 @@ class TestActivations:
         np.testing.assert_array_equal(g1, grad * first_wins)
         np.testing.assert_array_equal(g2, grad * ~first_wins)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_relu_and_prelu_match_where_references(self, shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal(shape).astype(dtype)
+        h[rng.random(shape) < 0.3] = 0             # the kink is common
+        alpha = rng.uniform(-0.5, 1.5, shape[0]).astype(dtype)
+        grad = rng.standard_normal(shape).astype(dtype)
+
+        out, tape = layers.relu(h)
+        expected, mask = reference_relu(h)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(layers.relu_backward(tape, grad), grad * mask)
+
+        out, tape = layers.prelu(h, alpha)
+        expected = reference_prelu(h, alpha)
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+        grad_h, grad_alpha = layers.prelu_backward(tape, grad)
+        ref_h, ref_alpha = reference_prelu_backward(h, alpha, grad)
+        np.testing.assert_array_equal(grad_h, ref_h)
+        np.testing.assert_array_equal(grad_alpha, ref_alpha)
+
+    def test_relu_and_prelu_let_nan_through(self):
+        h = np.array([[1.0, np.nan, -2.0]])
+        ones = np.ones_like(h)
+        out, tape = layers.relu(h)
+        assert np.isnan(out[0, 1])
+        np.testing.assert_array_equal(out[0, [0, 2]], [1.0, 0.0])
+        np.testing.assert_array_equal(layers.relu_backward(tape, ones), [[1.0, 0.0, 0.0]])
+
+        out, tape = layers.prelu(h, np.array([0.25]))
+        assert np.isnan(out[0, 1])
+        np.testing.assert_array_equal(out[0, [0, 2]], [1.0, -0.5])
+        grad_h, grad_alpha = layers.prelu_backward(tape, ones)
+        np.testing.assert_array_equal(grad_h, [[1.0, 0.25, 0.25]])
+        assert np.isnan(grad_alpha[0])
+
     @pytest.mark.parametrize("nan_in", [0, 1])
     def test_maxout_nan_in_either_half_reaches_output(self, nan_in):
         halves = [np.array([1.0, 2.0, -3.0]), np.array([0.0, 5.0, -4.0])]
@@ -353,6 +419,204 @@ class TestDense:
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):
             layers.dense_forward(np.zeros((4, 2)), np.zeros((3, 5)), np.zeros(3))
+
+
+@pytest.fixture
+def force_split(monkeypatch):
+    """force_split(True) makes every GEMM at or above SPLIT_MIN_MULADDS run as
+    two halves whatever the cores and BLAS threads; force_split(False) keeps
+    every GEMM whole.  It returns the list of two-way dispatches made."""
+    dispatches = []
+    real = layers._in_halves
+
+    def counting(task):
+        dispatches.append(task)
+        real(task)
+
+    monkeypatch.setattr(layers, "_in_halves", counting)
+
+    def force(on):
+        monkeypatch.setattr(layers, "_halves_run_together", lambda: on)
+        return dispatches
+
+    return force
+
+
+def assert_split_matches(serial, split, dtype):
+    """float32 row halves are bit-identical; float64 ones may differ in the
+    last bits, because dgemm blocks a row slice differently."""
+    for whole, halves in zip(serial, split):
+        assert halves.dtype == whole.dtype and halves.shape == whole.shape
+        if dtype == np.float32:
+            np.testing.assert_array_equal(halves, whole)
+        else:
+            assert np.max(np.abs(halves - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+def conv_case(c, bands, frames, k, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c, bands, frames)).astype(dtype)
+    w = (rng.standard_normal((k, c, 3, 5)) * 0.1).astype(dtype)
+    return x, w, rng.standard_normal(k).astype(dtype)
+
+
+# (c, bands, frames, k, freq_padding), each at or above SPLIT_MIN_MULADDS
+CONV_SPLIT_SHAPES = [
+    (32, 13, 130, 64, "same"),
+    (33, 13, 160, 65, "valid"),     # odd channel and map counts
+    (3, 41, 400, 129, "same"),      # the input layer's three channels
+    (1, 41, 1500, 64, "same"),      # one channel: one channel half is empty
+]
+# (d, d', frames) of a dense layer [d' x d] at or above SPLIT_MIN_MULADDS
+DENSE_SPLIT_SHAPES = [(1025, 257, 200), (416, 2048, 61)]
+
+
+class TestGemmSplit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c, bands, frames, k, padding", CONV_SPLIT_SHAPES)
+    def test_conv_split_matches_whole(self, force_split, dtype, c, bands, frames, k, padding):
+        x, w, b = conv_case(c, bands, frames, k, dtype)
+        out_b = bands if padding == "same" else bands - 2
+        assert k * c * 15 * out_b * frames >= layers.SPLIT_MIN_MULADDS
+        gy = np.random.default_rng(1).standard_normal((k, out_b, frames)).astype(dtype)
+        results = []
+        for on in (False, True):
+            dispatches = force_split(on)
+            out, tape = layers.conv2d_forward(x, w, b, padding)
+            results.append((out, *layers.conv2d_backward(tape, gy)))
+        assert len(dispatches) == 4     # forward: patches, maps; backward: channels, maps
+        assert_split_matches(*results, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d, d_out, frames", DENSE_SPLIT_SHAPES)
+    def test_dense_split_matches_whole(self, force_split, dtype, d, d_out, frames):
+        assert d * d_out * frames >= layers.SPLIT_MIN_MULADDS
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((d, frames)).astype(dtype)
+        w = (rng.standard_normal((d_out, d)) * 0.05).astype(dtype)
+        b = rng.standard_normal(d_out).astype(dtype)
+        gy = rng.standard_normal((d_out, frames)).astype(dtype)
+        results = []
+        for on in (False, True):
+            dispatches = force_split(on)
+            out, tape = layers.dense_forward(x, w, b)
+            results.append((out, *layers.dense_backward(tape, gy)))
+        assert len(dispatches) == 2
+        assert_split_matches(*results, dtype)
+
+    def test_below_the_threshold_nothing_is_dispatched(self, force_split):
+        dispatches = force_split(True)
+        x, w, b = conv_case(32, 13, 60, 64, np.float32)
+        out, tape = layers.conv2d_forward(x, w, b)
+        layers.conv2d_backward(tape, np.ones_like(out))
+        out, tape = layers.dense_forward(np.ones((416, 60), np.float32),
+                                         np.ones((256, 416), np.float32), np.ones(256, np.float32))
+        layers.dense_backward(tape, out)
+        assert dispatches == []
+
+    def test_gradcheck_with_every_gemm_split(self, force_split, monkeypatch):
+        monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", 0)
+        dispatches = force_split(True)
+        ok, worst, details = verify.gradcheck_suite(seed=0)
+        assert ok, details
+        assert worst <= GRAD_TOL and dispatches
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_in_a_half_reraises_after_both_halves_end(self, force_split, failing):
+        finished = []
+
+        def task(i):
+            if i == failing:
+                raise RuntimeError(f"half {i} failed")
+            time.sleep(0.05)
+            finished.append(i)
+
+        with pytest.raises(RuntimeError, match=f"half {failing} failed"):
+            layers._in_halves(task)
+        assert finished == [1 - failing]
+        # the pool still works
+        force_split(True)
+        x, w, b = conv_case(32, 13, 130, 64, np.float32)
+        split, _ = layers.conv2d_forward(x, w, b)
+        force_split(False)
+        np.testing.assert_array_equal(split, layers.conv2d_forward(x, w, b)[0])
+
+    def test_concurrent_callers_get_exact_results(self, force_split):
+        cases = [conv_case(32, 13, 130, 64, np.float32, seed) for seed in range(3)]
+        force_split(False)
+        expected = [layers.conv2d_forward(*case)[0] for case in cases]
+        dispatches = force_split(True)
+        results, errors = {}, []
+
+        def work(i):
+            try:
+                results[i] = [layers.conv2d_forward(*cases[i])[0] for _ in range(3)]
+            except Exception as err:     # reported below
+                errors.append(err)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(dispatches) == 2 * 3 * len(cases)
+        for i, outs in results.items():
+            for out in outs:
+                np.testing.assert_array_equal(out, expected[i])
+
+    @pytest.mark.parametrize("cores, env, engaged", [
+        ({0}, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        ({0, 1}, {}, False),
+        ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({0, 1}, {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        ({0, 1}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+        ({0, 1}, {"MKL_NUM_THREADS": "4"}, False),
+    ])
+    def test_halves_run_together_needs_two_cores_and_one_blas_thread(
+            self, monkeypatch, cores, env, engaged):
+        for var in layers.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        assert layers._halves_run_together() is engaged
+
+    @pytest.mark.parametrize("cores, env", [({0}, {"OPENBLAS_NUM_THREADS": "1"}), ({0, 1}, {})])
+    def test_one_core_or_unpinned_blas_starts_no_thread(self, monkeypatch, cores, env):
+        for var in layers.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+
+        def no_pool():
+            raise AssertionError("a GEMM asked for the worker pool")
+
+        monkeypatch.setattr(layers, "_executor", no_pool)
+        threads = threading.active_count()
+        x, w, b = conv_case(32, 13, 130, 64, np.float32)
+        out, tape = layers.conv2d_forward(x, w, b)
+        layers.conv2d_backward(tape, np.ones_like(out))
+        out, tape = layers.dense_forward(np.ones((1025, 200), np.float32),
+                                         np.ones((257, 1025), np.float32), np.ones(257, np.float32))
+        layers.dense_backward(tape, out)
+        assert threading.active_count() == threads
+
+    def test_pool_is_made_again_in_a_new_process(self, monkeypatch):
+        first = layers._executor()
+        assert layers._executor() is first
+        monkeypatch.setattr(layers, "_pool_pid", -1)        # as after a fork
+        second = layers._executor()
+        first.shutdown()
+        assert second is not first
+        assert second.submit(lambda: 7).result(timeout=10) == 7
 
 
 class TestDropout:
