@@ -30,13 +30,45 @@ def _same_pad(size):
 # ---------------------------------------------------------------------------
 
 # A conv or dense GEMM of at least this many multiply-adds runs as two row
-# halves at the same time, one on the calling thread and one on a worker.
+# parts at the same time, one on the calling thread and one on a worker.
 # On a 2-core x86-64 VM with OpenBLAS at 1 thread, splitting the forward and
 # backward of a 3x5 conv broke even between 1.6e7 and 3.2e7 multiply-adds
 # with 32 input channels, and between 2.8e7 and 4.7e7 with 3; below that
 # the hand-off costs more than the second core gains.
 SPLIT_MIN_MULADDS = 5e7
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_thread_vars():
+    """The variables that set the thread count of numpy's BLAS, in the order
+    that BLAS reads them; () for a BLAS whose variables are not known here."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (TypeError, KeyError, AttributeError):
+        return ()
+    if "openblas" in name:
+        return ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "mkl" in name:
+        return ("MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    return ()
+
+
+def _blas_threads(environ, names):
+    """The thread count that a BLAS reading the variables `names` takes from
+    `environ`: the first one set to a positive integer wins.  None when none
+    is, which leaves the count to the BLAS (every core, for OpenBLAS)."""
+    for name in names:
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+# Read once: the BLAS reads its thread count when it loads, which is when
+# numpy is imported, and a variable set later does not change it.
+_BLAS_PINNED = _blas_threads(os.environ, _blas_thread_vars()) == 1
 
 _pool = None
 _pool_pid = None
@@ -44,19 +76,18 @@ _pool_lock = threading.Lock()
 
 
 def _halves_run_together():
-    """True when both halves of a split get a core of their own: the process
-    may use at least two cores, and the environment pins BLAS to one thread
-    (one of BLAS_THREAD_VARS is set and none asks for more than one).  An
-    unpinned OpenBLAS already runs every GEMM on every core."""
+    """True when both parts of a split get a core of their own: the process
+    may use at least two cores and BLAS runs one thread.  An unpinned
+    OpenBLAS already runs every GEMM on every core."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = [os.environ[var].strip() for var in BLAS_THREAD_VARS if os.environ.get(var)]
-    return cores >= 2 and bool(threads) and all(t == "1" for t in threads)
+    return _BLAS_PINNED and cores >= 2
 
 
-def _split(muladds, *arrays):
-    """Whether a GEMM of `muladds` multiply-adds over `arrays` runs as two halves."""
-    return (muladds >= SPLIT_MIN_MULADDS and len({a.dtype for a in arrays}) == 1
-            and _halves_run_together())
+def _parts(muladds, *arrays):
+    """How many row parts, 2 or 1, a GEMM of `muladds` multiply-adds over `arrays` runs in."""
+    split = (muladds >= SPLIT_MIN_MULADDS and len({a.dtype for a in arrays}) == 1
+             and _halves_run_together())
+    return 2 if split else 1
 
 
 def _executor():
@@ -69,34 +100,35 @@ def _executor():
         return _pool
 
 
-def _in_halves(task):
-    """Run task(1) on the worker and task(0) here, and return when both are
-    done; an exception in either re-raises here.  Tasks call only numpy, which
-    releases the interpreter lock in BLAS and ufunc loops, and write only into
-    buffers the caller allocated."""
-    future = _executor().submit(task, 1)
+def _in_parts(task, parts):
+    """Run task(i, parts) for every part i of `parts` (1 or 2) and return when
+    all are done.  Part 0 runs here and part 1 on the worker; an exception in
+    either re-raises here.  Tasks call only numpy, which releases the
+    interpreter lock in BLAS and ufunc loops, and write only into buffers the
+    caller allocated."""
+    future = _executor().submit(task, 1, parts) if parts == 2 else None
     try:
-        task(0)
+        task(0, parts)
     finally:
-        future.result()
+        if future is not None:
+            future.result()
 
 
-def _half(n, i):
-    """Half `i` (0 or 1) of range(n) as a slice; half 0 gets the odd one."""
-    mid = (n + 1) // 2
-    return slice(0, mid) if i == 0 else slice(mid, n)
+def _rows(n, i, parts):
+    """Part `i` of range(n) cut into `parts` fixed slices; earlier parts get the odd rows."""
+    return slice(-(-n * i // parts), -(-n * (i + 1) // parts))
 
 
-def _split_affine(w, x, biases):
-    """w @ x + biases[:, None], its output rows computed in two halves."""
-    out = np.empty((w.shape[0], x.shape[1]), dtype=x.dtype)
+def _affine(w, x, biases, parts):
+    """w @ x + biases[:, None], its output rows computed in `parts` parts."""
+    out = np.empty((w.shape[0], x.shape[1]), dtype=np.result_type(w, x, biases))
 
-    def rows(i):
-        r = _half(w.shape[0], i)
+    def part(i, parts):
+        r = _rows(w.shape[0], i, parts)
         np.matmul(w[r], x, out=out[r])
         out[r] += biases[r, None]
 
-    _in_halves(rows)
+    _in_parts(part, parts)
     return out
 
 
@@ -148,23 +180,12 @@ def conv2d_forward(x, weights, biases, freq_padding="same"):
     out_b = padded.shape[1] - m + 1
     out_f = padded.shape[2] - n + 1
     w2 = weights.reshape(k, -1)
-    if _split(w2.size * out_b * out_f, padded, weights, biases):
-        patches = np.empty((w2.shape[1], out_b * out_f), dtype=padded.dtype)
-        _in_halves(lambda i: _fill_patches(patches, padded, _half(c, i), m, n))
-        out = _split_affine(w2, patches, biases)
-    else:
-        patches = _patch_matrix(padded, m, n)                 # [c*m*n, out_b*out_f]
-        out = w2 @ patches + biases[:, None]
-    out = out.reshape(k, out_b, out_f)
+    parts = _parts(w2.size * out_b * out_f, padded, weights, biases)
+    patches = np.empty((w2.shape[1], out_b * out_f), dtype=padded.dtype)   # [c*m*n, out_b*out_f]
+    _in_parts(lambda i, parts: _fill_patches(patches, padded, _rows(c, i, parts), m, n), parts)
+    out = _affine(w2, patches, biases, parts).reshape(k, out_b, out_f)
     tape = ConvTape(padded, weights, (fl, tl), x.shape, out.shape)
     return out, tape
-
-
-def _patch_matrix(padded, m, n):
-    c, b, f = padded.shape
-    patches = np.empty((c * m * n, (b - m + 1) * (f - n + 1)), dtype=padded.dtype)
-    _fill_patches(patches, padded, slice(0, c), m, n)
-    return patches
 
 
 def _channel_rows(ch, m, n):
@@ -199,29 +220,25 @@ def conv2d_backward(tape, grad_out):
     grad_b = grad_out.sum(axis=(1, 2))
     w2 = tape.weights.reshape(k, -1)
     grad_padded = np.zeros_like(tape.padded)
-    if _split(w2.size * gy.shape[1], tape.padded, tape.weights, grad_out):
-        patches = np.empty((w2.shape[1], gy.shape[1]), dtype=gy.dtype)
-        grad_patches = np.empty_like(patches)
-        grad_w = np.empty(w2.shape, dtype=w2.dtype)
+    parts = _parts(w2.size * gy.shape[1], tape.padded, tape.weights, grad_out)
+    patches = np.empty((w2.shape[1], gy.shape[1]), dtype=tape.padded.dtype)
+    grad_patches = np.empty(patches.shape, dtype=np.result_type(w2, gy))
+    grad_w = np.empty(w2.shape, dtype=np.result_type(gy, patches))
 
-        def channels(i):
-            ch = _half(c, i)
-            rows = _channel_rows(ch, m, n)
-            _fill_patches(patches, tape.padded, ch, m, n)
-            np.matmul(w2[:, rows].T, gy, out=grad_patches[rows])
-            _col2im(grad_padded[ch], grad_patches[rows], m, n, out_b, out_f)
+    def channels(i, parts):
+        ch = _rows(c, i, parts)
+        rows = _channel_rows(ch, m, n)
+        _fill_patches(patches, tape.padded, ch, m, n)
+        np.matmul(w2[:, rows].T, gy, out=grad_patches[rows])
+        _col2im(grad_padded[ch], grad_patches[rows], m, n, out_b, out_f)
 
-        def maps(i):
-            r = _half(k, i)
-            np.matmul(gy[r], patches.T, out=grad_w[r])
+    def maps(i, parts):
+        r = _rows(k, i, parts)
+        np.matmul(gy[r], patches.T, out=grad_w[r])
 
-        _in_halves(channels)
-        _in_halves(maps)
-        grad_w = grad_w.reshape(k, c, m, n)
-    else:
-        patches = _patch_matrix(tape.padded, m, n)
-        grad_w = (gy @ patches.T).reshape(k, c, m, n)
-        _col2im(grad_padded, w2.T @ gy, m, n, out_b, out_f)
+    _in_parts(channels, parts)
+    _in_parts(maps, parts)
+    grad_w = grad_w.reshape(k, c, m, n)
     fl, tl = tape.pads
     _, bands, frames = tape.in_shape
     grad_x = grad_padded[:, fl:fl + bands, tl:tl + frames]
@@ -378,28 +395,21 @@ def dense_forward(x, weights, biases):
     if weights.shape[1] != x.shape[0]:
         raise ShapeError(f"dense expects input width {weights.shape[1]}, got {x.shape[0]}")
     biases = np.asarray(biases)
-    if _split(weights.size * x.shape[1], x, weights, biases):
-        out = _split_affine(weights, x, biases)
-    else:
-        out = weights @ x + biases[:, None]
+    out = _affine(weights, x, biases, _parts(weights.size * x.shape[1], x, weights, biases))
     return out, DenseTape(x, weights)
 
 
 def dense_backward(tape, grad_out):
     w, x = tape.weights, tape.x
-    if _split(w.size * x.shape[1], x, w, grad_out):
-        grad_x = np.empty(x.shape, dtype=x.dtype)
-        grad_w = np.empty(w.shape, dtype=w.dtype)
+    grad_x = np.empty(x.shape, dtype=np.result_type(w, grad_out))
+    grad_w = np.empty(w.shape, dtype=np.result_type(grad_out, x))
 
-        def halves(i):
-            inputs, outputs = _half(w.shape[1], i), _half(w.shape[0], i)
-            np.matmul(w[:, inputs].T, grad_out, out=grad_x[inputs])
-            np.matmul(grad_out[outputs], x.T, out=grad_w[outputs])
+    def part(i, parts):
+        inputs, outputs = _rows(w.shape[1], i, parts), _rows(w.shape[0], i, parts)
+        np.matmul(w[:, inputs].T, grad_out, out=grad_x[inputs])
+        np.matmul(grad_out[outputs], x.T, out=grad_w[outputs])
 
-        _in_halves(halves)
-    else:
-        grad_x = w.T @ grad_out
-        grad_w = grad_out @ x.T
+    _in_parts(part, _parts(w.size * x.shape[1], x, w, grad_out))
     grad_b = grad_out.sum(axis=1)
     return grad_x, grad_w, grad_b
 

@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -424,16 +425,17 @@ class TestDense:
 @pytest.fixture
 def force_split(monkeypatch):
     """force_split(True) makes every GEMM at or above SPLIT_MIN_MULADDS run as
-    two halves whatever the cores and BLAS threads; force_split(False) keeps
+    two parts whatever the cores and BLAS threads; force_split(False) keeps
     every GEMM whole.  It returns the list of two-way dispatches made."""
     dispatches = []
-    real = layers._in_halves
+    real = layers._in_parts
 
-    def counting(task):
-        dispatches.append(task)
-        real(task)
+    def counting(task, parts):
+        if parts == 2:
+            dispatches.append(task)
+        real(task, parts)
 
-    monkeypatch.setattr(layers, "_in_halves", counting)
+    monkeypatch.setattr(layers, "_in_parts", counting)
 
     def force(on):
         monkeypatch.setattr(layers, "_halves_run_together", lambda: on)
@@ -525,14 +527,14 @@ class TestGemmSplit:
     def test_error_in_a_half_reraises_after_both_halves_end(self, force_split, failing):
         finished = []
 
-        def task(i):
+        def task(i, parts):
             if i == failing:
                 raise RuntimeError(f"half {i} failed")
             time.sleep(0.05)
             finished.append(i)
 
         with pytest.raises(RuntimeError, match=f"half {failing} failed"):
-            layers._in_halves(task)
+            layers._in_parts(task, 2)
         assert finished == [1 - failing]
         # the pool still works
         force_split(True)
@@ -571,29 +573,63 @@ class TestGemmSplit:
             for out in outs:
                 np.testing.assert_array_equal(out, expected[i])
 
-    @pytest.mark.parametrize("cores, env, engaged", [
-        ({0}, {"OPENBLAS_NUM_THREADS": "1"}, False),
-        ({0, 1}, {}, False),
-        ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({0, 1}, {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
-        ({0, 1}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
-        ({0, 1}, {"MKL_NUM_THREADS": "4"}, False),
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 65])
+    def test_parts_cover_the_rows_in_order(self, n):
+        assert layers._rows(n, 0, 1) == slice(0, n)
+        first, second = layers._rows(n, 0, 2), layers._rows(n, 1, 2)
+        assert (first.start, first.stop, second.stop) == (0, second.start, n)
+        assert first.stop - first.start == (n + 1) // 2
+
+    @pytest.mark.parametrize("env, threads", [
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "3"}, 3),
+        ({"MKL_NUM_THREADS": "1"}, None),
+    ])
+    def test_openblas_thread_count_from_the_environment(self, env, threads):
+        names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        assert layers._blas_threads(env, names) == threads
+
+    @pytest.mark.parametrize("env, pinned", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"MKL_NUM_THREADS": "1"}, False),          # OpenBLAS does not read it
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ])
+    def test_pin_is_read_from_the_variables_numpys_openblas_reads(self, env, pinned):
+        if layers._blas_thread_vars()[:1] != ("OPENBLAS_NUM_THREADS",):
+            pytest.skip("numpy is not built with OpenBLAS")
+        clean = {k: v for k, v in os.environ.items()
+                 if not k.endswith("_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(layers.__file__)))
+        clean["PYTHONPATH"] = os.pathsep.join(filter(None, [src, clean.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "from convctc import layers; print(layers._BLAS_PINNED)"],
+            env={**clean, **env}, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == str(pinned)
+
+    @pytest.mark.parametrize("cores, pinned, engaged", [
+        ({0}, True, False),
+        ({0, 1}, False, False),
+        ({0, 1}, True, True),
     ])
     def test_halves_run_together_needs_two_cores_and_one_blas_thread(
-            self, monkeypatch, cores, env, engaged):
-        for var in layers.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+            self, monkeypatch, cores, pinned, engaged):
+        monkeypatch.setattr(layers, "_BLAS_PINNED", pinned)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
         assert layers._halves_run_together() is engaged
 
-    @pytest.mark.parametrize("cores, env", [({0}, {"OPENBLAS_NUM_THREADS": "1"}), ({0, 1}, {})])
-    def test_one_core_or_unpinned_blas_starts_no_thread(self, monkeypatch, cores, env):
-        for var in layers.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+    @pytest.mark.parametrize("cores, pinned", [({0}, True), ({0, 1}, False)])
+    def test_one_core_or_unpinned_blas_starts_no_thread(self, monkeypatch, cores, pinned):
+        monkeypatch.setattr(layers, "_BLAS_PINNED", pinned)
+        # set after numpy loaded, so BLAS did not read it: changes nothing
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
 
         def no_pool():
