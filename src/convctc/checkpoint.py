@@ -23,7 +23,7 @@ import numpy as np
 from .ctc import Alphabet
 from .features import NormalizationStats
 from .network import Network, NetworkConfig
-from .optim import OptimizerState
+from .optim import OPTIMIZER_KINDS, OptimizerState
 from .tensor import ShapeError, atomic_write, read_tensor, write_tensor
 
 _MAGIC = b"CCKP"
@@ -105,6 +105,8 @@ def _check_header(path, header):
     missing = [key for key in _OPTIMIZER_KEYS if key not in opt]
     if missing:
         raise corrupt(f"'optimizer' is missing {', '.join(missing)}")
+    if opt["kind"] not in OPTIMIZER_KINDS:
+        raise corrupt(f"unknown optimizer kind {opt['kind']!r}")
     expect("'optimizer.kinds'", opt["kinds"], dict)
 
 

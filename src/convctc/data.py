@@ -101,38 +101,28 @@ def load_dataset(manifest, stats, dtype=np.float32):
 
 @dataclass
 class Batch:
-    features: np.ndarray     # [B x 3 x bands x f_max], zero-padded past each length
-    lengths: list
-    targets: list
-    ids: list
+    utterances: list         # the Utterance objects themselves, in batch order
 
-    def item(self, i):
-        """One utterance's features sliced to its true frame count."""
-        return self.features[i, :, :, :self.lengths[i]]
+    @property
+    def ids(self):
+        return [u.uid for u in self.utterances]
+
+    @property
+    def lengths(self):               # frame counts
+        return [u.features.shape[2] for u in self.utterances]
 
 
 def make_batches(items, batch_size, rng=None, shuffle=False):
-    """Group utterances into padded batches; the final short batch is kept.
+    """Group utterances into batches; the final short batch is kept.
 
     Shuffling permutes the item order with the supplied generator, so batch
     composition is reproducible from the seed.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = list(range(len(items)))
-    if shuffle:
-        order = list(rng.permutation(len(items)))
-    batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = [items[i] for i in order[start:start + batch_size]]
-        lengths = [u.features.shape[2] for u in chunk]
-        f_max = max(lengths)
-        shape = (len(chunk),) + chunk[0].features.shape[:2] + (f_max,)
-        feats = np.zeros(shape, dtype=chunk[0].features.dtype)
-        for i, u in enumerate(chunk):
-            feats[i, :, :, :lengths[i]] = u.features
-        batches.append(Batch(feats, lengths, [u.target for u in chunk], [u.uid for u in chunk]))
-    return batches
+    order = rng.permutation(len(items)) if shuffle else range(len(items))
+    return [Batch([items[i] for i in order[start:start + batch_size]])
+            for start in range(0, len(items), batch_size)]
 
 
 # ---------------------------------------------------------------------------

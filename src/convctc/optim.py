@@ -12,6 +12,8 @@ import numpy as np
 
 from .tensor import ShapeError
 
+OPTIMIZER_KINDS = ("adam", "sgd")
+
 
 def init_uniform(param_specs, rng, lo=-0.05, hi=0.05, dtype=np.float32, alpha_init=0.1):
     """Draw weights i.i.d. uniform [lo, hi); biases start at 0, PReLU slopes
@@ -31,7 +33,7 @@ def init_uniform(param_specs, rng, lo=-0.05, hi=0.05, dtype=np.float32, alpha_in
 
 @dataclass
 class OptimizerState:
-    kind: str                      # "adam" | "sgd"
+    kind: str                      # one of OPTIMIZER_KINDS
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -45,7 +47,7 @@ class OptimizerState:
 
 def make_optimizer(kind, param_specs, lr, beta1=0.9, beta2=0.999, eps=1e-8, l2=0.0,
                    dtype=np.float32):
-    if kind not in ("adam", "sgd"):
+    if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     state = OptimizerState(kind, lr, beta1, beta2, eps, l2,
                            kinds={name: k for name, _, k in param_specs})

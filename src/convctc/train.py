@@ -32,8 +32,7 @@ from .optim import global_norm_clip, init_uniform, make_optimizer, step
 from .tensor import DTYPES
 
 ADAM_LR = 1e-4
-SGD_LR = 1e-5
-SGD_L2 = 1e-5
+STAGE_DEFAULTS = {"adam": (ADAM_LR, 0.0), "sgd": (1e-5, 1e-5)}   # stage -> default (lr, l2)
 
 
 @dataclass
@@ -66,17 +65,16 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
     loss_sum = 0.0
     counted = 0
     skipped = 0
-    for i in range(len(batch.ids)):
-        x = batch.item(i)
-        log_probs, tapes = net.forward(x, params, train=train, rng=rng)
+    for utt in batch.utterances:
+        log_probs, tapes = net.forward(utt.features, params, train=train, rng=rng)
         if np.isnan(log_probs).any():
-            raise RuntimeError(f"non-finite network output for utterance {batch.ids[i]}")
-        loss, lattice = ctc_loss(log_probs, batch.targets[i])
+            raise RuntimeError(f"non-finite network output for utterance {utt.uid}")
+        loss, lattice = ctc_loss(log_probs, utt.target)
         if not lattice.feasible:
             skipped += 1
             continue
         if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss for utterance {batch.ids[i]}")
+            raise RuntimeError(f"non-finite loss for utterance {utt.uid}")
         item_grads = net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype))
         if grads is None:
             grads = item_grads
@@ -146,10 +144,10 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         stage = stage or "adam"
         dtype = DTYPES[precision]
         net = Network(config)
+        opt = _fresh_optimizer(stage, net, lr, l2, dtype)
         if stats is None:
             stats = fit_normalization(iter_static(train_manifest))
         params = init_uniform(net.param_specs(), rng, dtype=dtype)
-        opt = _fresh_optimizer(stage, net, lr, l2, dtype)
 
     train_set = load_dataset(train_manifest, stats, dtype=dtype)
     dev_set = load_dataset(dev_manifest, stats, dtype=dtype)
@@ -164,6 +162,9 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         best_params = {k: v.copy() for k, v in src.items()}
     final_epoch = start_epoch
 
+    if os.path.exists(log_path):     # cut a last line torn by a crash mid-append
+        with open(log_path, "rb+") as fh:
+            fh.truncate(fh.read().rfind(b"\n") + 1)
     with open(log_path, "a", encoding="utf-8") as log:
         for epoch in range(start_epoch + 1, start_epoch + epochs + 1):
             t0 = time.monotonic()
@@ -245,10 +246,9 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
 
 
 def _fresh_optimizer(stage, net, lr, l2, dtype):
-    if stage == "adam":
-        return make_optimizer("adam", net.param_specs(),
-                              lr=ADAM_LR if lr is None else lr,
-                              l2=0.0 if l2 is None else l2, dtype=dtype)
-    return make_optimizer("sgd", net.param_specs(),
-                          lr=SGD_LR if lr is None else lr,
-                          l2=SGD_L2 if l2 is None else l2, dtype=dtype)
+    if stage not in STAGE_DEFAULTS:
+        raise ValueError(f"unknown training stage {stage!r}, expected one of {list(STAGE_DEFAULTS)}")
+    default_lr, default_l2 = STAGE_DEFAULTS[stage]
+    return make_optimizer(stage, net.param_specs(),
+                          lr=default_lr if lr is None else lr,
+                          l2=default_l2 if l2 is None else l2, dtype=dtype)

@@ -8,6 +8,7 @@ one desktop core.  Run `pytest tests/test_acceptance.py -v -s` to watch.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_7_two_stage_recipe_regression_guard(noisy_run, tmp_path_factory):
     out = tmp_path_factory.mktemp("finetune")
     ft = train(None, None, tm, dm, str(out), resume=result.best_path,
                stage="sgd", epochs=10, batch_size=20, patience=100, quiet=True)
-    lines = [json.loads(l) for l in open(ft.log_path)]
+    lines = [json.loads(l) for l in Path(ft.log_path).read_text().splitlines()]
     assert len(lines) == 10 and all(l["stage"] == "sgd" for l in lines)
     worst = max(l["dev_ler"] for l in lines)
     ok = worst <= result.best_dev_ler + 0.01
@@ -172,9 +173,9 @@ def test_8_determinism(tmp_path_factory):
     b_root = tmp_path_factory.mktemp("det_b")
     ra = tiny_run(a_root, epochs=3)
     rb = tiny_run(b_root, epochs=3)
-    log_same = open(ra.log_path, "rb").read() == open(rb.log_path, "rb").read()
-    last_same = open(ra.last_path, "rb").read() == open(rb.last_path, "rb").read()
-    best_same = open(ra.best_path, "rb").read() == open(rb.best_path, "rb").read()
+    log_same = Path(ra.log_path).read_bytes() == Path(rb.log_path).read_bytes()
+    last_same = Path(ra.last_path).read_bytes() == Path(rb.last_path).read_bytes()
+    best_same = Path(ra.best_path).read_bytes() == Path(rb.best_path).read_bytes()
     report(8, "same seed, byte-identical logs and checkpoints",
            log_same and last_same and best_same,
            f"log {log_same}, last.ckpt {last_same}, best.ckpt {best_same}")
@@ -187,9 +188,9 @@ def test_9_checkpoint_roundtrip_resume(tmp_path_factory):
     part = tiny_run(part_root, epochs=2)
     resumed = tiny_run(part_root, epochs=1, resume=part.last_path)
 
-    full_lines = open(full.log_path).read().splitlines()
-    part_lines = open(resumed.log_path).read().splitlines()
+    full_lines = Path(full.log_path).read_text().splitlines()
+    part_lines = Path(resumed.log_path).read_text().splitlines()
     line_ok = len(part_lines) == 3 and part_lines[2] == full_lines[2]
-    ckpt_ok = open(full.last_path, "rb").read() == open(resumed.last_path, "rb").read()
+    ckpt_ok = Path(full.last_path).read_bytes() == Path(resumed.last_path).read_bytes()
     report(9, "resume reproduces the uninterrupted run", line_ok and ckpt_ok,
            f"epoch-3 metrics line identical: {line_ok}; last.ckpt identical: {ckpt_ok}")

@@ -124,6 +124,17 @@ class TestCorruptHeader:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    def test_unknown_optimizer_kind_raises_value_error_naming_the_file(self, tmp_path):
+        # a resume from this file would otherwise drop the Adam moments
+        path = tmp_path / "kind.ckpt"
+        save_checkpoint(path, build_checkpoint())
+        raw = path.read_bytes()
+        assert raw.count(b'"kind":"adam"') == 1
+        path.write_bytes(raw.replace(b'"kind":"adam"', b'"kind":"adbm"'))
+        with pytest.raises(ValueError, match="unknown optimizer kind 'adbm'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("edit, problem", [
         (lambda h: [h], "the header is list, expected dict"),
         (lambda h: "checkpoint", "the header is str, expected dict"),

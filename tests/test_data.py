@@ -1,13 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from convctc.ctc import Alphabet, ctc_loss, min_feasible_length
+from convctc.ctc import Alphabet, min_feasible_length
 from convctc.data import (TaskSpec, Utterance, generate_synthetic,
                           load_dataset, load_manifest, make_batches,
                           synthetic_alphabet, write_manifest)
 from convctc.features import fit_normalization
-from convctc.network import ConvSpec, DenseSpec, Network, NetworkConfig
-from convctc.optim import init_uniform
 from convctc.tensor import load_tensor, save_tensor
 
 
@@ -94,38 +94,23 @@ class TestBatches:
         seen = [uid for b in batches for uid in b.ids]
         assert sorted(seen) == sorted(u.uid for u in items)
 
-    def test_padding_is_zero_beyond_lengths(self):
-        rng = np.random.default_rng(4)
-        batches = make_batches(fake_items(rng, 6), 6)
-        batch = batches[0]
-        for i, length in enumerate(batch.lengths):
-            assert length <= batch.features.shape[3]
-            assert not batch.features[i, :, :, length:].any()
-            np.testing.assert_array_equal(batch.item(i).shape[2], length)
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_batches_hold_the_input_utterances_in_order(self, shuffle):
+        # utterance i has 5 + i frames; batches keep the objects, not copies
+        items = [Utterance(f"u{i}", np.zeros((3, 4, 5 + i), np.float32), [1])
+                 for i in range(11)]
+        batches = make_batches(items, 4, np.random.default_rng(6), shuffle=shuffle)
+        order = list(np.random.default_rng(6).permutation(11)) if shuffle else list(range(11))
+        assert (order != list(range(11))) == shuffle
+        assert [len(b.utterances) for b in batches] == [4, 4, 3]
+        held = [u for b in batches for u in b.utterances]
+        assert all(u is items[i] for u, i in zip(held, order, strict=True))
+        assert [uid for b in batches for uid in b.ids] == [f"u{i}" for i in order]
+        assert [n for b in batches for n in b.lengths] == [5 + i for i in order]
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             make_batches([], 0)
-
-    def test_padded_and_unpadded_losses_agree(self):
-        # zero padding plus zero-padded convolution: frames before the true
-        # length are unaffected, so CTC over the sliced range matches exactly
-        rng = np.random.default_rng(5)
-        net = Network(NetworkConfig(3, 4, 4, [ConvSpec(3, 3, 5), DenseSpec(6)]))
-        params = init_uniform(net.param_specs(), rng, dtype=np.float64)
-        items = [Utterance("a", rng.standard_normal((3, 4, 9)), [1]),
-                 Utterance("b", rng.standard_normal((3, 4, 14)), [2, 3])]
-        batch = make_batches(items, 2)[0]
-        assert batch.features.shape[3] == 14
-        for i, utt in enumerate(items):
-            padded = batch.features[i]
-            lp_padded, _ = net.forward(padded, params)
-            lp_sliced, _ = net.forward(utt.features, params)
-            f = batch.lengths[i]
-            np.testing.assert_allclose(lp_padded[:, :f], lp_sliced, atol=1e-9)
-            loss_p, _ = ctc_loss(lp_padded[:, :f], utt.target)
-            loss_s, _ = ctc_loss(lp_sliced, utt.target)
-            assert loss_p == pytest.approx(loss_s, abs=1e-9)
 
 
 class TestSyntheticTask:
@@ -135,7 +120,7 @@ class TestSyntheticTask:
         a = generate_synthetic(spec, tmp_path / "a")
         b = generate_synthetic(spec, tmp_path / "b")
         for split in ("train", "dev", "test"):
-            assert open(a[split]).read() == open(b[split]).read()
+            assert Path(a[split]).read_text() == Path(b[split]).read_text()
         fa = sorted((tmp_path / "a" / "features").iterdir())
         fb = sorted((tmp_path / "b" / "features").iterdir())
         assert [p.name for p in fa] == [p.name for p in fb]

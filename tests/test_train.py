@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestTrainLoop:
         train(small_config(), small_task["alphabet"], small_task["train"],
               small_task["dev"], str(out), epochs=6, batch_size=4, patience=1,
               auto_finetune=True, log_timing=False, quiet=True)
-        stages = [json.loads(l)["stage"] for l in open(out / "metrics.jsonl")]
+        stages = [json.loads(l)["stage"] for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert stages[0] == "adam"
         assert "sgd" in stages
         # once switched, it stays switched until the run ends
@@ -157,6 +158,39 @@ class TestTrainLoop:
         assert os.path.exists(resumed.best_path)
         ck = load_checkpoint(resumed.best_path)
         assert ck.meta["best_dev_ler"] == pytest.approx(resumed.best_dev_ler)
+
+    def test_unknown_stage_argument_raises(self, small_task, tmp_path):
+        with pytest.raises(ValueError, match="unknown training stage 'Adam'"):
+            train(small_config(), small_task["alphabet"], small_task["train"],
+                  small_task["dev"], str(tmp_path / "run"), stage="Adam", epochs=1,
+                  batch_size=4, quiet=True)
+
+    def test_unknown_stage_in_checkpoint_meta_raises(self, small_task, tmp_path):
+        first = train(small_config(), small_task["alphabet"], small_task["train"],
+                      small_task["dev"], str(tmp_path / "a"), epochs=1,
+                      batch_size=4, quiet=True)
+        path = tmp_path / "a" / "last.ckpt"
+        raw = path.read_bytes()
+        assert raw.count(b'"stage":"adam"') == 1
+        path.write_bytes(raw.replace(b'"stage":"adam"', b'"stage":"adbm"'))
+        with pytest.raises(ValueError, match="unknown training stage 'adbm'"):
+            train(None, None, small_task["train"], small_task["dev"], str(tmp_path / "b"),
+                  resume=first.last_path, epochs=1, batch_size=4, quiet=True)
+
+    def test_resume_trims_a_torn_last_log_line(self, small_task, tmp_path):
+        def run(out, epochs, resume=None):
+            return train(small_config(), small_task["alphabet"], small_task["train"],
+                         small_task["dev"], str(out), seed=4, epochs=epochs, batch_size=4,
+                         patience=10, resume=resume, log_timing=False, quiet=True)
+
+        full = run(tmp_path / "full", 2)
+        part = run(tmp_path / "part", 1)
+        with open(part.log_path, "a", encoding="utf-8") as log:
+            log.write('{"epoch": 2, "sta')          # a crash mid-append
+        resumed = run(tmp_path / "part", 1, resume=part.last_path)
+        lines = [json.loads(l) for l in Path(resumed.log_path).read_text().splitlines()]
+        assert [l["epoch"] for l in lines] == [1, 2]
+        assert Path(resumed.log_path).read_bytes() == Path(full.log_path).read_bytes()
 
 
 def _unit_stats():
