@@ -31,7 +31,7 @@ xs = rng.standard_normal((2, 6, 8))
 ws = rng.standard_normal((3, 2, 3, 3)) * 0.3
 out_s, tape_s = layers.conv2d_forward(xs, ws, np.zeros(3))
 proj = rng.standard_normal(out_s.shape)
-_, gw, _ = layers.conv2d_backward(tape_s, proj)
+_, gw, _ = layers.conv2d_backward(tape_s, proj, ws)
 
 
 def objective(wv):

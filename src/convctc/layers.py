@@ -3,7 +3,10 @@
 Everything here is a pure function: ``*_forward`` returns the output plus a
 tape of cached intermediates, and the matching ``*_backward`` consumes one
 tape and the upstream gradient.  No autodiff -- each backward pass is the
-hand-derived adjoint of its forward map.
+hand-derived adjoint of its forward map.  A tape holds no parameter: the
+conv and dense backward passes take the forward's weights again, so a
+caller that builds its weights for the call (maxout stacks two halves)
+keeps no copy alive until the backward.
 
 Feature tensors are [channels x bands x frames] with time last; convolution
 always zero-pads the time axis so the frame count survives every layer.
@@ -139,7 +142,6 @@ def _affine(w, x, biases, parts):
 @dataclass
 class ConvTape:
     padded: np.ndarray        # zero-padded input [c, b_pad, f_pad]
-    weights: np.ndarray
     pads: tuple               # (freq_left, time_left)
     in_shape: tuple
     out_shape: tuple
@@ -184,7 +186,7 @@ def conv2d_forward(x, weights, biases, freq_padding="same"):
     patches = np.empty((w2.shape[1], out_b * out_f), dtype=padded.dtype)   # [c*m*n, out_b*out_f]
     _in_parts(lambda i, parts: _fill_patches(patches, padded, _rows(c, i, parts), m, n), parts)
     out = _affine(w2, patches, biases, parts).reshape(k, out_b, out_f)
-    tape = ConvTape(padded, weights, (fl, tl), x.shape, out.shape)
+    tape = ConvTape(padded, (fl, tl), x.shape, out.shape)
     return out, tape
 
 
@@ -208,19 +210,25 @@ def _col2im(grad_padded, grad_patches, m, n, out_b, out_f):
             grad_padded[:, dm:dm + out_b, dn:dn + out_f] += cols[:, dm, dn]
 
 
-def conv2d_backward(tape, grad_out):
-    """Gradients of conv2d_forward: (grad_x, grad_weights, grad_biases)."""
+def conv2d_backward(tape, grad_out, weights):
+    """Gradients of conv2d_forward, given the weights it ran with:
+    (grad_x, grad_weights, grad_biases)."""
     grad_out = np.asarray(grad_out)
+    weights = np.asarray(weights)
     if grad_out.shape != tape.out_shape:
         raise ShapeError(f"conv grad shape {grad_out.shape} does not match forward output {tape.out_shape}")
-    k, c, m, n = tape.weights.shape
-    _, out_b, out_f = tape.out_shape
+    k, out_b, out_f = tape.out_shape
+    c, pad_b, pad_f = tape.padded.shape
+    if weights.shape != (k, c, pad_b - out_b + 1, pad_f - out_f + 1):
+        raise ShapeError(f"conv weights {weights.shape} do not match the forward's "
+                         f"input {tape.in_shape} and output {tape.out_shape}")
+    m, n = weights.shape[2:]
     gy = grad_out.reshape(k, -1)
 
     grad_b = grad_out.sum(axis=(1, 2))
-    w2 = tape.weights.reshape(k, -1)
+    w2 = weights.reshape(k, -1)
     grad_padded = np.zeros_like(tape.padded)
-    parts = _parts(w2.size * gy.shape[1], tape.padded, tape.weights, grad_out)
+    parts = _parts(w2.size * gy.shape[1], tape.padded, weights, grad_out)
     patches = np.empty((w2.shape[1], gy.shape[1]), dtype=tape.padded.dtype)
     grad_patches = np.empty(patches.shape, dtype=np.result_type(w2, gy))
     grad_w = np.empty(w2.shape, dtype=np.result_type(gy, patches))
@@ -383,7 +391,6 @@ def maxpool_freq_backward(tape, grad_out):
 @dataclass
 class DenseTape:
     x: np.ndarray
-    weights: np.ndarray
 
 
 def dense_forward(x, weights, biases):
@@ -396,11 +403,16 @@ def dense_forward(x, weights, biases):
         raise ShapeError(f"dense expects input width {weights.shape[1]}, got {x.shape[0]}")
     biases = np.asarray(biases)
     out = _affine(weights, x, biases, _parts(weights.size * x.shape[1], x, weights, biases))
-    return out, DenseTape(x, weights)
+    return out, DenseTape(x)
 
 
-def dense_backward(tape, grad_out):
-    w, x = tape.weights, tape.x
+def dense_backward(tape, grad_out, weights):
+    """Gradients of dense_forward, given the weights it ran with:
+    (grad_x, grad_weights, grad_biases)."""
+    w, x = np.asarray(weights), tape.x
+    if w.shape != (grad_out.shape[0], x.shape[0]):
+        raise ShapeError(f"dense weights {w.shape} do not match the forward's input width "
+                         f"{x.shape[0]} and gradient {grad_out.shape}")
     grad_x = np.empty(x.shape, dtype=np.result_type(w, grad_out))
     grad_w = np.empty(w.shape, dtype=np.result_type(grad_out, x))
 
@@ -420,27 +432,32 @@ def dense_backward(tape, grad_out):
 
 @dataclass
 class DropoutTape:
-    scale: np.ndarray | None   # None when the op was the identity
+    keep: np.ndarray | None    # bool mask of survivors; None when the op was the identity
+    scale: np.generic | None   # 1/(1-rate) in the input's dtype
 
 
 def dropout(x, rate, rng=None, training=False):
-    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity."""
+    """Inverted dropout: survivors scaled by 1/(1-rate); inference is identity.
+
+    The tape keeps the bool mask, a quarter of a float32 scale map; both
+    passes multiply by keep * scale, which is exactly scale or 0.
+    """
     x = np.asarray(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return x, DropoutTape(None)
+        return x, DropoutTape(None, None)
     if rng is None:
         raise ValueError("dropout in training mode needs a seeded generator")
     keep = rng.random(x.shape) >= rate
-    scale = keep.astype(x.dtype) / x.dtype.type(1.0 - rate)
-    return x * scale, DropoutTape(scale)
+    scale = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+    return x * (keep * scale), DropoutTape(keep, scale)
 
 
 def dropout_backward(tape, grad_out):
-    if tape.scale is None:
+    if tape.keep is None:
         return grad_out
-    return grad_out * tape.scale
+    return grad_out * (tape.keep * tape.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -179,10 +179,12 @@ class _AffineStage:
     def forward(self, x, p, train, rng):
         s = self.spec
         if s.activation == "maxout":
-            w = np.concatenate([p["w1"], p["w2"]])
+            weights = (p["w1"], p["w2"])
+            w = np.concatenate(weights)
             b = np.concatenate([p["b1"], p["b2"]])
         else:
-            w, b = p["w"], p["b"]
+            weights = w = p["w"]
+            b = p["b"]
         if isinstance(s, ConvSpec):
             h, affine_tape = layers.conv2d_forward(x, w, b, s.freq_padding)
         else:
@@ -196,11 +198,12 @@ class _AffineStage:
             out, act_tape = layers.relu(h)
         else:
             out, act_tape = h, None
-        return out, (affine_tape, act_tape)
+        # the caller's weight arrays, not the stacked copy w
+        return out, (affine_tape, act_tape, weights)
 
     def backward(self, grad, tape):
         s = self.spec
-        affine_tape, act_tape = tape
+        affine_tape, act_tape, weights = tape
         local = {}
         if s.activation == "maxout":
             grad = np.concatenate(layers.maxout2_backward(act_tape, grad))
@@ -208,10 +211,11 @@ class _AffineStage:
             grad, local["alpha"] = layers.prelu_backward(act_tape, grad)
         elif s.activation == "relu":
             grad = layers.relu_backward(act_tape, grad)
+        w = np.concatenate(weights) if s.activation == "maxout" else weights
         if isinstance(s, ConvSpec):
-            gx, gw, gb = layers.conv2d_backward(affine_tape, grad)
+            gx, gw, gb = layers.conv2d_backward(affine_tape, grad, w)
         else:
-            gx, gw, gb = layers.dense_backward(affine_tape, grad)
+            gx, gw, gb = layers.dense_backward(affine_tape, grad, w)
         k = self.weight_shape[0]
         if s.activation == "maxout":
             return gx, {"w1": gw[:k], "b1": gb[:k], "w2": gw[k:], "b2": gb[k:]}
@@ -374,18 +378,33 @@ class Network:
             tapes.append(tape)
         return h, tapes
 
-    def backward(self, tapes, grad_log_probs):
-        """Chain the stack's backward passes; returns grads for every parameter."""
+    def backward(self, tapes, grad_log_probs, into=None):
+        """Chain the stack's backward passes; returns grads for every parameter.
+
+        Consumes `tapes`: each entry is set to None as soon as its stage's
+        backward has run, so a stage's intermediates are freed before the
+        stage below it runs, and a consumed list raises ValueError.  With
+        `into`, the dict an earlier backward returned, each stage's
+        gradients are added into its arrays in place as soon as that stage
+        is done, and the same arrays are returned.
+        """
         if len(tapes) != len(self.stack):
             raise ValueError(f"got {len(tapes)} tapes for {len(self.stack)} stages")
-        grads = {}
+        if any(tape is None for tape in tapes):
+            raise ValueError("these tapes were already consumed by a backward pass")
+        grads = {} if into is None else into
         g = np.asarray(grad_log_probs)
         for i in range(len(self.stack) - 1, -1, -1):
             name, stage = self.stack[i]
+            tape, tapes[i] = tapes[i], None
             try:
-                g, local = stage.backward(g, tapes[i])
+                g, local = stage.backward(g, tape)
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({name}): {e}") from e
             for ln, gv in local.items():
-                grads[f"{name}.{ln}"] = gv
+                full = f"{name}.{ln}"
+                if into is None:
+                    grads[full] = gv
+                else:
+                    grads[full] += gv
         return {name: grads[name] for name, _, _ in self.param_list}

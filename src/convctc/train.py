@@ -59,7 +59,9 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
 
     Returns (grads or None, summed loss, counted items, skipped items).
     Infeasibly short utterances are skipped; a non-finite loss on a feasible
-    one raises with the utterance id.
+    one raises with the utterance id.  Each item's backward adds into the
+    first item's gradient arrays and frees the item's tapes as it goes, so
+    one item's intermediates and one set of gradients are alive at a time.
     """
     grads = None
     loss_sum = 0.0
@@ -72,15 +74,11 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
         loss, lattice = ctc_loss(log_probs, utt.target)
         if not lattice.feasible:
             skipped += 1
+            del tapes        # not alive through the next item's forward
             continue
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss for utterance {utt.uid}")
-        item_grads = net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype))
-        if grads is None:
-            grads = item_grads
-        else:
-            for name, g in item_grads.items():
-                grads[name] += g
+        grads = net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype), into=grads)
         loss_sum += float(loss)
         counted += 1
     return grads, loss_sum, counted, skipped
@@ -97,11 +95,21 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
     state, and epoch numbering continue from it.  Passing a different
     `stage` than the checkpoint's re-creates the optimizer (the manual
     Adam -> SGD fine-tune trigger); otherwise the stored state is reused.
+    A fresh run (no `resume`) refuses an `out_dir` that already holds a
+    run's log or checkpoints, and writes nothing there.
+
+    Raises RuntimeError, naming the epoch, batch and parameter, when a batch
+    gradient is not finite; the parameters are then left as they were.
     """
-    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "metrics.jsonl")
     best_path = os.path.join(out_dir, "best.ckpt")
     last_path = os.path.join(out_dir, "last.ckpt")
+    if resume is None:
+        for path in (log_path, last_path, best_path):
+            if os.path.exists(path):
+                raise ValueError(f"{out_dir} already holds a run ({os.path.basename(path)}); "
+                                 f"resume from its last.ckpt or choose another directory")
+    os.makedirs(out_dir, exist_ok=True)
     if batch_loss not in ("sum", "mean"):
         raise ValueError(f"batch_loss must be 'sum' or 'mean', got {batch_loss!r}")
 
@@ -173,6 +181,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
             counted_total = 0
             skipped_total = 0
             for bi, batch in enumerate(batches):
+                grads = None     # the last batch's gradients are not alive through this one's
                 try:
                     grads, loss_sum, counted, skipped = batch_gradients(
                         net, params, batch, train=True, rng=rng, dtype=dtype)
@@ -183,6 +192,10 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
                 skipped_total += skipped
                 if grads is None:
                     continue
+                bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+                if bad is not None:
+                    raise RuntimeError(f"epoch {epoch}, batch {bi}, ids {batch.ids}: "
+                                       f"non-finite gradient for {bad}")
                 if batch_loss == "mean":
                     for g in grads.values():
                         g /= counted

@@ -112,11 +112,13 @@ def gradcheck_suite(seed=0):
         x, w, b = randn(2, 5, 7), randn(3, 2, 3, 3) * 0.5, randn(3)
         fwd = lambda x, w, b, p=padding: layers.conv2d_forward(x, w, b, p)
         worst = max(worst, _check_op(f"conv2d[{padding}]", fwd,
-                                     layers.conv2d_backward, (x, w, b), rng, details))
+                                     lambda t, g, w=w: layers.conv2d_backward(t, g, w),
+                                     (x, w, b), rng, details))
 
+    x, w, b = randn(5, 4), randn(6, 5), randn(6)
     worst = max(worst, _check_op("dense", layers.dense_forward,
-                                 layers.dense_backward,
-                                 (randn(5, 4), randn(6, 5), randn(6)), rng, details))
+                                 lambda t, g: layers.dense_backward(t, g, w),
+                                 (x, w, b), rng, details))
 
     worst = max(worst, _check_op("prelu", layers.prelu,
                                  layers.prelu_backward,

@@ -142,8 +142,8 @@ class TestVerifyCommand:
         # fault injection: negate the weight gradient
         original = convctc.layers.conv2d_backward
 
-        def corrupted(tape, grad_out):
-            gx, gw, gb = original(tape, grad_out)
+        def corrupted(tape, grad_out, weights):
+            gx, gw, gb = original(tape, grad_out, weights)
             return gx, -gw, gb
 
         monkeypatch.setattr(convctc.layers, "conv2d_backward", corrupted)

@@ -119,15 +119,16 @@ class TestConv2d:
         x = np.random.default_rng(2).standard_normal((2, 4, 6))
         w = np.ones((3, 2, 3, 3))
         out, tape = layers.conv2d_forward(x, w, np.zeros(3))
-        gx, gw, gb = layers.conv2d_backward(tape, np.zeros_like(out))
+        gx, gw, gb = layers.conv2d_backward(tape, np.zeros_like(out), w)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_backward_identity_filter(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 4, 6))
-        _, tape = layers.conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1))
+        w = np.ones((1, 1, 1, 1))
+        _, tape = layers.conv2d_forward(x, w, np.zeros(1))
         gy = rng.standard_normal((1, 4, 6))
-        gx, _, _ = layers.conv2d_backward(tape, gy)
+        gx, _, _ = layers.conv2d_backward(tape, gy, w)
         np.testing.assert_array_equal(gx, gy)
 
     def test_backward_matches_finite_differences_on_hand_case(self):
@@ -135,10 +136,22 @@ class TestConv2d:
         w = np.array([[1.0, 0.0], [0.0, 1.0]])[None, None]
         out, tape = layers.conv2d_forward(x, w, np.zeros(1), freq_padding="valid")
         gy = np.ones_like(out)
-        _, gw, _ = layers.conv2d_backward(tape, gy)
+        _, gw, _ = layers.conv2d_backward(tape, gy, w)
         numeric = central_diff(
             lambda wv: float(layers.conv2d_forward(x, wv, np.zeros(1), "valid")[0].sum()), w)
         assert np.max(np.abs(gw - numeric)) <= 1e-7
+
+    def test_backward_rejects_weights_the_forward_did_not_use(self):
+        x = np.ones((2, 5, 7))
+        w = np.ones((3, 2, 3, 3))
+        out, tape = layers.conv2d_forward(x, w, np.zeros(3))
+        for other in (np.ones((3, 2, 3, 5)), np.ones((4, 2, 3, 3)), np.ones((3, 2, 9))):
+            with pytest.raises(ShapeError, match="conv weights"):
+                layers.conv2d_backward(tape, out, other)
+        out, tape = layers.dense_forward(np.ones((5, 4)), np.ones((6, 5)), np.zeros(6))
+        for other in (np.ones((6, 4)), np.ones((5, 5))):
+            with pytest.raises(ShapeError, match="dense weights"):
+                layers.dense_backward(tape, out, other)
 
     def test_bias_gradient_is_sum_over_positions(self):
         rng = np.random.default_rng(4)
@@ -146,7 +159,7 @@ class TestConv2d:
         w = rng.standard_normal((3, 2, 3, 3))
         out, tape = layers.conv2d_forward(x, w, rng.standard_normal(3))
         gy = rng.standard_normal(out.shape)
-        _, _, gb = layers.conv2d_backward(tape, gy)
+        _, _, gb = layers.conv2d_backward(tape, gy, w)
         np.testing.assert_allclose(gb, gy.sum(axis=(1, 2)), atol=1e-12)
 
 
@@ -485,7 +498,7 @@ class TestGemmSplit:
         for on in (False, True):
             dispatches = force_split(on)
             out, tape = layers.conv2d_forward(x, w, b, padding)
-            results.append((out, *layers.conv2d_backward(tape, gy)))
+            results.append((out, *layers.conv2d_backward(tape, gy, w)))
         assert len(dispatches) == 4     # forward: patches, maps; backward: channels, maps
         assert_split_matches(*results, dtype)
 
@@ -502,7 +515,7 @@ class TestGemmSplit:
         for on in (False, True):
             dispatches = force_split(on)
             out, tape = layers.dense_forward(x, w, b)
-            results.append((out, *layers.dense_backward(tape, gy)))
+            results.append((out, *layers.dense_backward(tape, gy, w)))
         assert len(dispatches) == 2
         assert_split_matches(*results, dtype)
 
@@ -510,10 +523,11 @@ class TestGemmSplit:
         dispatches = force_split(True)
         x, w, b = conv_case(32, 13, 60, 64, np.float32)
         out, tape = layers.conv2d_forward(x, w, b)
-        layers.conv2d_backward(tape, np.ones_like(out))
-        out, tape = layers.dense_forward(np.ones((416, 60), np.float32),
-                                         np.ones((256, 416), np.float32), np.ones(256, np.float32))
-        layers.dense_backward(tape, out)
+        layers.conv2d_backward(tape, np.ones_like(out), w)
+        w = np.ones((256, 416), np.float32)
+        x = np.ones((416, 60), np.float32)
+        out, tape = layers.dense_forward(x, w, np.ones(256, np.float32))
+        layers.dense_backward(tape, out, w)
         assert dispatches == []
 
     def test_gradcheck_with_every_gemm_split(self, force_split, monkeypatch):
@@ -639,10 +653,11 @@ class TestGemmSplit:
         threads = threading.active_count()
         x, w, b = conv_case(32, 13, 130, 64, np.float32)
         out, tape = layers.conv2d_forward(x, w, b)
-        layers.conv2d_backward(tape, np.ones_like(out))
-        out, tape = layers.dense_forward(np.ones((1025, 200), np.float32),
-                                         np.ones((257, 1025), np.float32), np.ones(257, np.float32))
-        layers.dense_backward(tape, out)
+        layers.conv2d_backward(tape, np.ones_like(out), w)
+        w = np.ones((257, 1025), np.float32)
+        x = np.ones((1025, 200), np.float32)
+        out, tape = layers.dense_forward(x, w, np.ones(257, np.float32))
+        layers.dense_backward(tape, out, w)
         assert threading.active_count() == threads
 
     def test_pool_is_made_again_in_a_new_process(self, monkeypatch):
@@ -681,6 +696,26 @@ class TestDropout:
         out, tape = layers.dropout(x, 0.5, rng, training=True)
         gx = layers.dropout_backward(tape, np.ones_like(x))
         np.testing.assert_array_equal(gx, out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.3, 0.5, 0.9])
+    def test_bool_mask_matches_float_scale_bits(self, dtype, rate):
+        # the reference is the float scale map the tape used to keep
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 400)).astype(dtype)
+        g = rng.standard_normal((3, 400)).astype(dtype)
+        special = np.tile([np.nan, np.inf, -np.inf, -0.0, 0.0], 80)
+        x[0] = g[1] = x[2] = g[2] = special
+        keep = np.random.default_rng(17).random(x.shape) >= rate
+        for v in range(5):      # each special value is both kept and dropped
+            assert 0 < keep[:, v::5].sum() < keep[:, v::5].size
+        scale = keep.astype(dtype) / dtype(1.0 - rate)
+        with np.errstate(invalid="ignore"):       # inf * 0
+            out, tape = layers.dropout(x, rate, np.random.default_rng(17), training=True)
+            grad = layers.dropout_backward(tape, g)
+            assert out.dtype == dtype and out.tobytes() == (x * scale).tobytes()
+            assert grad.dtype == dtype and grad.tobytes() == (g * scale).tobytes()
+        assert tape.keep.dtype == bool
 
     def test_invalid_rate_rejected(self):
         for rate in (-0.1, 1.0, 1.5):

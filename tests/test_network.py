@@ -1,3 +1,6 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
@@ -246,6 +249,52 @@ class TestBackward:
             numeric = central_diff(objective, params[name])
             assert rel_error(grads[name], numeric) <= GRAD_TOL, name
 
+    def test_backward_consumes_its_tapes(self):
+        net = small_net()
+        rng = np.random.default_rng(15)
+        params = optim.init_uniform(net.param_specs(), rng)
+        out, tapes = net.forward(rng.standard_normal((2, 7, 6)).astype(np.float32), params)
+        padded = weakref.ref(tapes[0][0].padded)
+        net.backward(tapes, np.ones_like(out))
+        assert tapes == [None] * len(net.stack)
+        assert padded() is None
+        with pytest.raises(ValueError, match="already consumed"):
+            net.backward(tapes, np.ones_like(out))
+
+    def test_no_tape_holds_a_stacked_weight_copy(self):
+        net = Network(NetworkConfig(channels=2, bands=7, alphabet_size=4, layers=[
+            ConvSpec(3, 3, 3), DropoutSpec(0.3), DenseSpec(5), DropoutSpec(0.3)]))
+        rng = np.random.default_rng(16)
+        params = optim.init_uniform(net.param_specs(), rng)
+        _, tapes = net.forward(rng.standard_normal((2, 7, 6)).astype(np.float32), params,
+                               train=True, rng=rng)
+        held = list(_arrays(tapes))
+        for name in ("conv1", "dense1"):
+            w1 = params[f"{name}.w1"]
+            stacked = (2 * w1.shape[0],) + w1.shape[1:]
+            assert not any(a.shape == stacked for a in held), name
+            assert any(a is w1 for a in held) and any(a is params[f"{name}.w2"] for a in held)
+
+    def test_adding_into_gives_the_bits_of_a_sum(self):
+        net = toy_network()
+        rng = np.random.default_rng(17)
+        params = optim.init_uniform(net.param_specs(), rng)
+        xs = [rng.standard_normal((3, 9, f)).astype(np.float32) for f in (12, 7)]
+        upstream = [rng.standard_normal((4, f)).astype(np.float32) for f in (12, 7)]
+
+        def backward(i, into=None):
+            _, tapes = net.forward(xs[i], params, train=True, rng=np.random.default_rng(i))
+            return net.backward(tapes, upstream[i], into=into)
+
+        first, second = backward(0), backward(1)
+        accumulated = backward(0)
+        arrays = dict(accumulated)
+        accumulated = backward(1, into=accumulated)
+        assert list(accumulated) == [name for name, _, _ in net.param_specs()]
+        for name, g in accumulated.items():
+            assert g is arrays[name]
+            assert g.tobytes() == (first[name] + second[name]).tobytes(), name
+
     def test_upstream_shape_mismatch_rejected(self):
         net = small_net()
         rng = np.random.default_rng(11)
@@ -253,6 +302,18 @@ class TestBackward:
         _, tapes = net.forward(rng.standard_normal((2, 7, 4)).astype(np.float32), params)
         with pytest.raises(ShapeError):
             net.backward(tapes, np.zeros((4, 9)))
+
+
+def _arrays(obj):
+    """Every array reachable from a tape through tuples, lists and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
 
 
 class TestDropoutInStack:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,49 @@ class TestTrainLoop:
             train(small_config(), alphabet, bad_manifest, small_task["dev"],
                   str(tmp_path / "run"), epochs=1, batch_size=2,
                   stats=_unit_stats(), quiet=True)
+
+    def test_non_finite_gradient_stops_before_the_step(self, small_task, tmp_path, monkeypatch):
+        import convctc.train
+        original = Network.backward
+
+        def injecting(self, tapes, grad_log_probs, into=None):
+            grads = original(self, tapes, grad_log_probs, into=into)
+            grads["output.w"][0, 0] = np.inf
+            grads["dense1.w2"][1, 1] = -np.inf
+            return grads
+
+        steps = []
+        monkeypatch.setattr(Network, "backward", injecting)
+        monkeypatch.setattr(convctc.train, "step", lambda *args: steps.append(args))
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match=r"epoch 1, batch 0, ids \[.+\]: "
+                                               r"non-finite gradient for dense1\.w2$"):
+            train(small_config(), small_task["alphabet"], small_task["train"],
+                  small_task["dev"], str(out), epochs=1, batch_size=4, quiet=True)
+        assert steps == []
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+        assert (out / "metrics.jsonl").read_bytes() == b""
+
+    def test_fresh_run_refuses_a_used_directory(self, small_task, tmp_path):
+        def run(out):
+            return train(small_config(), small_task["alphabet"], small_task["train"],
+                         small_task["dev"], str(out), epochs=1, batch_size=4, quiet=True)
+
+        out = tmp_path / "run"
+        run(out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["best.ckpt", "last.ckpt", "metrics.jsonl"]
+        message = f"{out} already holds a run (metrics.jsonl)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        for name in ("metrics.jsonl", "last.ckpt", "best.ckpt"):
+            used = tmp_path / f"used-{name}"
+            used.mkdir()
+            (used / name).write_bytes(b"")
+            with pytest.raises(ValueError, match=re.escape(f"({name})")):
+                run(used)
+            assert [p.name for p in used.iterdir()] == [name]
 
     def test_infeasible_utterance_warned_and_skipped(self, small_task, tmp_path, capsys):
         # 2 frames cannot host the target (s1, s1), which needs s1,-,s1
