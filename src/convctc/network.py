@@ -382,9 +382,10 @@ class Network:
         """Chain the stack's backward passes; returns grads for every parameter.
 
         Consumes `tapes`: each entry is set to None as soon as its stage's
-        backward has run, so a stage's intermediates are freed before the
-        stage below it runs, and a consumed list raises ValueError.  With
-        `into`, the dict an earlier backward returned, each stage's
+        backward has returned, so a stage's intermediates are freed before
+        the stage below it runs, and a consumed list raises ValueError.  A
+        stage that raises leaves its own tape, and those below it, in place.
+        With `into`, the dict an earlier backward returned, each stage's
         gradients are added into its arrays in place as soon as that stage
         is done, and the same arrays are returned.
         """
@@ -396,11 +397,11 @@ class Network:
         g = np.asarray(grad_log_probs)
         for i in range(len(self.stack) - 1, -1, -1):
             name, stage = self.stack[i]
-            tape, tapes[i] = tapes[i], None
             try:
-                g, local = stage.backward(g, tape)
+                g, local = stage.backward(g, tapes[i])
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({name}): {e}") from e
+            tapes[i] = None
             for ln, gv in local.items():
                 full = f"{name}.{ln}"
                 if into is None:

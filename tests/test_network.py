@@ -300,7 +300,11 @@ class TestBackward:
         rng = np.random.default_rng(11)
         params = optim.init_uniform(net.param_specs(), rng)
         _, tapes = net.forward(rng.standard_normal((2, 7, 4)).astype(np.float32), params)
+        before = list(tapes)
         with pytest.raises(ShapeError):
+            net.backward(tapes, np.zeros((4, 9)))
+        assert all(t is b for t, b in zip(tapes, before))   # the rejected call consumed nothing
+        with pytest.raises(ShapeError):                     # and a retry sees the same cause
             net.backward(tapes, np.zeros((4, 9)))
 
 

@@ -2,18 +2,20 @@
 
     python3 tools/bench_pairs.py --parent HEAD --label my_change --seeds 401-410
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label my_change \
-        --seeds 401-410 --workloads train-figure3,decode-long
+        --seeds 401-410
 
 Each side is a `git archive` of its commit, or of the working tree with its
 untracked files (`--change` left out), unpacked into a fresh directory
-outside the repository.  For every workload and seed the two sides run
+outside the repository.  For every workload of `BENCHMARK.json` and every
+seed the two sides run
 `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` back
-to back; the parent runs first for even-indexed seeds and the change for
-odd ones.  Every result line, with its seed, environment line and commit,
-goes to `BENCH_<label>.json` at the repository root, rewritten after each
-run, together with a summary: for each workload and end-to-end metric of
-`BENCHMARK.json`, each side's median and quartiles, the number of pairs,
-the pairs the change won and the parent's interquartile range.
+to back, N being that file's `run_seconds`; the parent runs first for
+even-indexed seeds and the change for odd ones.  Every result line, with
+its seed, environment line and commit, goes to `BENCH_<label>.json` at the
+repository root, rewritten after each run, together with a summary: for
+each workload and end-to-end metric of `BENCHMARK.json`, each side's median
+and quartiles, the number of pairs, the pairs the change won and the
+parent's interquartile range.
 
 Uses the standard library only.
 """
@@ -132,17 +134,16 @@ def main(argv=None):
     ap.add_argument("--change", help="changed commit (default: the working tree)")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--seeds", required=True, help='"401-410" or "401,403,..."')
-    ap.add_argument("--workloads", default="train-reduced,train-figure3,decode-long")
-    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args(argv)
 
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     sides = {"parent": revision(args.parent), "change": revision(args.change)}
     out_path = os.path.join(REPO, f"BENCH_{args.label}.json")
     doc = {"label": args.label,
            "command": "python3 perfbench/run.py --workload <w> --seed <s> "
-                      f"--seconds {args.seconds} --trace 0",
+                      f"--seconds {seconds} --trace 0",
            "order": "alternating: the parent runs first for even-indexed seeds, the change "
                     "for odd ones; each workload's pair runs back to back",
            "parent": sides["parent"], "change": sides["change"], "runs": [], "summary": {}}
@@ -153,12 +154,11 @@ def main(argv=None):
         for side, info in sides.items():
             checkouts[side] = os.path.join(work, side)
             unpack(info["tree"], checkouts[side])
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in bench["workloads"]):
             for i, seed in enumerate(parse_seeds(args.seeds)):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    code, env, result, err = run_one(checkouts[side], workload, seed,
-                                                     args.seconds)
+                    code, env, result, err = run_one(checkouts[side], workload, seed, seconds)
                     record = {"workload": workload, "seed": seed, "side": side,
                               "first": order[0], "commit": sides[side]["commit"],
                               "exit": code, "env": env and env["env"]}
