@@ -128,7 +128,10 @@ def load_checkpoint(path):
         header = json.loads(fh.read(header_len).decode("utf-8"))
         _check_header(path, header)
 
-        config = NetworkConfig.from_json(header["config"])
+        try:
+            config = NetworkConfig.from_json(header["config"])
+        except ValueError as e:
+            raise ValueError(f"{path}: corrupt checkpoint header: {e}") from e
         alphabet = Alphabet(header["alphabet"])
         expected = {name: shape for name, shape, _ in Network(config).param_specs()}
         names = header["params"]

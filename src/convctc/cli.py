@@ -14,8 +14,8 @@ from .data import TaskSpec, generate_synthetic, iter_static, load_dataset, load_
 from .evaluate import evaluate, load_mapping
 from .features import assemble_input, fit_normalization, load_stats, save_stats
 from .network import Network, NetworkConfig, figure3_config
-from .tensor import load_tensor
-from .train import train
+from .tensor import DTYPES, load_tensor
+from .train import STAGE_DEFAULTS, train
 from .verify import SUITES
 
 
@@ -39,8 +39,8 @@ def build_parser():
     p.add_argument("--dev", required=True, dest="dev_manifest")
     p.add_argument("--out", default="run", help="output directory (checkpoints, metrics log)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=["f32", "f64"], default="f32")
-    p.add_argument("--stage", choices=["adam", "sgd"], default=None,
+    p.add_argument("--precision", choices=list(DTYPES), default="f32")
+    p.add_argument("--stage", choices=list(STAGE_DEFAULTS), default=None,
                    help="optimization stage (default: adam, or the resumed checkpoint's)")
     p.add_argument("--lr", type=float, default=None,
                    help="learning rate (default 1e-4 adam / 1e-5 sgd)")

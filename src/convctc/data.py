@@ -14,12 +14,14 @@ utterance is decodable even without noise), plus optional Gaussian noise.
 """
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ctc import min_feasible_length
+from .ctc import Alphabet, min_feasible_length
 from .features import assemble_input
+from .network import _from_json
 from .tensor import load_tensor, save_tensor
 
 
@@ -44,8 +46,6 @@ class Manifest:
 def load_manifest(path, alphabet, split="train"):
     """Parse and fully validate a manifest: unique ids, known symbols,
     existing feature files."""
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     seen = set()
@@ -152,20 +152,15 @@ class TaskSpec:
             raise ValueError("noise_std must be >= 0")
 
     def to_json(self):
-        return {"symbols": self.symbols, "bands": self.bands,
-                "min_frames": self.min_frames, "max_frames": self.max_frames,
-                "noise_std": self.noise_std, "counts": dict(self.counts),
-                "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc):
-        spec = cls(symbols=int(doc["symbols"]),
-                   bands=int(doc.get("bands", 41)),
-                   min_frames=int(doc.get("min_frames", 30)),
-                   max_frames=int(doc.get("max_frames", 80)),
-                   noise_std=float(doc.get("noise_std", 0.1)),
-                   counts={k: int(v) for k, v in doc.get("counts", {"train": 500, "dev": 50, "test": 50}).items()},
-                   seed=int(doc.get("seed", 0)))
+        spec = _from_json(cls, doc, "task")
+        try:
+            spec.counts = {split: int(n) for split, n in spec.counts.items()}
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"task field 'counts': {e}") from e
         spec.validate()
         return spec
 
@@ -211,15 +206,12 @@ def _render_utterance(spec, templates, rng):
 
 
 def synthetic_alphabet(spec):
-    from .ctc import Alphabet
     return Alphabet(["<blank>"] + [f"s{i}" for i in range(1, spec.symbols + 1)])
 
 
 def generate_synthetic(spec, out_dir):
     """Write feature files, per-split manifests, and the alphabet under
     out_dir; fully determined by spec.seed.  Returns the written paths."""
-    import os
-
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     alphabet = synthetic_alphabet(spec)

@@ -100,7 +100,7 @@ def evaluate(net, params, dataset, alphabet, mapping=None):
     """Best-path decode every utterance and score against its reference."""
     report = EvalReport()
     for utt in dataset:
-        log_probs, _ = net.forward(utt.features, params)
+        log_probs = net.forward(utt.features, params)[0]   # no tapes held through the next forward
         hyp = alphabet.decode(best_path_decode(log_probs))
         ref = alphabet.decode(utt.target)
         if mapping:

@@ -32,7 +32,7 @@ Config files are JSON:
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -66,6 +66,39 @@ class DropoutSpec:
     rate: float
 
 
+_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "dense": DenseSpec, "dropout": DropoutSpec}
+
+
+def _from_json(cls, doc, where):
+    """The `cls` dataclass read from the JSON object `doc`.
+
+    Each field present is read as its declared type: int and float fields
+    through int() and float(), the others as they are, if of that type.  An
+    absent field takes the dataclass default, and keys that are not fields
+    are ignored.  A missing or malformed value raises ValueError naming
+    `where` and the field.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is {type(doc).__name__}, expected an object")
+    values = {}
+    for f in fields(cls):
+        if f.name not in doc:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{where} is missing field {f.name!r}")
+            continue
+        value = doc[f.name]
+        if f.type in (int, float):
+            try:
+                value = f.type(value)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{where} field {f.name!r}: {e}") from e
+        elif not isinstance(value, f.type):
+            raise ValueError(f"{where} field {f.name!r} is {type(value).__name__}, "
+                             f"expected {f.type.__name__}")
+        values[f.name] = value
+    return cls(**values)
+
+
 @dataclass
 class NetworkConfig:
     channels: int
@@ -74,57 +107,32 @@ class NetworkConfig:
     layers: list = field(default_factory=list)
 
     def to_json(self):
-        entries = []
-        for spec in self.layers:
-            if isinstance(spec, ConvSpec):
-                entries.append({"kind": "conv", "maps": spec.maps,
-                                "filter_freq": spec.filter_freq,
-                                "filter_time": spec.filter_time,
-                                "activation": spec.activation,
-                                "freq_padding": spec.freq_padding})
-            elif isinstance(spec, PoolSpec):
-                entries.append({"kind": "pool", "size": spec.size, "step": spec.step})
-            elif isinstance(spec, DenseSpec):
-                entries.append({"kind": "dense", "width": spec.width,
-                                "activation": spec.activation})
-            elif isinstance(spec, DropoutSpec):
-                entries.append({"kind": "dropout", "rate": spec.rate})
-            else:
-                raise TypeError(f"unknown layer spec {spec!r}")
+        kinds = {spec_cls: kind for kind, spec_cls in _KINDS.items()}
         return {"input": {"channels": self.channels, "bands": self.bands},
-                "alphabet_size": self.alphabet_size, "layers": entries}
+                "alphabet_size": self.alphabet_size,
+                "layers": [{"kind": kinds[type(spec)], **asdict(spec)} for spec in self.layers]}
 
     @classmethod
     def from_json(cls, doc):
-        try:
-            channels = int(doc["input"]["channels"])
-            bands = int(doc["input"]["bands"])
-            alphabet_size = int(doc["alphabet_size"])
-            entries = doc["layers"]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"config missing required field: {e}") from e
+        geometry = doc.get("input") if isinstance(doc, dict) else None
+        if not isinstance(geometry, dict):
+            raise ValueError("config has no 'input' object")
+        entries = doc.get("layers")
+        if not isinstance(entries, list):
+            raise ValueError(f"config 'layers' is {type(entries).__name__}, expected a list")
         specs = []
         for i, entry in enumerate(entries):
+            where = f"config layer {i}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} is {type(entry).__name__}, expected an object")
             kind = entry.get("kind")
-            try:
-                if kind == "conv":
-                    specs.append(ConvSpec(int(entry["maps"]),
-                                          int(entry["filter_freq"]),
-                                          int(entry["filter_time"]),
-                                          entry.get("activation", "maxout"),
-                                          entry.get("freq_padding", "same")))
-                elif kind == "pool":
-                    specs.append(PoolSpec(int(entry["size"]), int(entry["step"])))
-                elif kind == "dense":
-                    specs.append(DenseSpec(int(entry["width"]),
-                                           entry.get("activation", "maxout")))
-                elif kind == "dropout":
-                    specs.append(DropoutSpec(float(entry["rate"])))
-                else:
-                    raise ValueError(f"unknown layer kind {kind!r}")
-            except KeyError as e:
-                raise ValueError(f"config layer {i} ({kind}) missing field {e}") from e
-        return cls(channels, bands, alphabet_size, specs)
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ValueError(f"{where}: unknown layer kind {kind!r}")
+            specs.append(_from_json(_KINDS[kind], entry, f"{where} ({kind})"))
+        top = {key: geometry[key] for key in ("channels", "bands") if key in geometry}
+        if "alphabet_size" in doc:
+            top["alphabet_size"] = doc["alphabet_size"]
+        return _from_json(cls, {**top, "layers": specs}, "config")
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,6 @@ class TrainResult:
 
 def override_dropout(config, rate):
     """Config copy with every dropout layer forced to `rate` (0 disables)."""
-    from copy import deepcopy
     config = deepcopy(config)
     for spec in config.layers:
         if isinstance(spec, DropoutSpec):
@@ -114,48 +114,39 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         raise ValueError(f"batch_loss must be 'sum' or 'mean', got {batch_loss!r}")
 
     rng = np.random.default_rng(seed)
-    start_epoch = 0
-    best_ler = float("inf")
-    bad_evals = 0
-
+    params, opt, prior = None, None, {}
     if resume is not None:
         ck = load_checkpoint(resume) if isinstance(resume, str) else resume
-        config = ck.config
-        if dropout is not None:
-            config = override_dropout(config, dropout)
-        alphabet = ck.alphabet
-        stats = ck.stats
-        params = ck.params
-        dtype = next(iter(params.values())).dtype
-        net = Network(config)
-        meta = ck.meta or {}
-        start_epoch = int(meta.get("epoch", 0))
-        best_ler = float(meta.get("best_dev_ler", float("inf")))
-        bad_evals = int(meta.get("bad_evals", 0))
-        if meta.get("rng_state"):
-            rng.bit_generator.state = meta["rng_state"]
-        stage = stage or meta.get("stage", "adam")
-        if ck.optimizer is not None and ck.optimizer.kind == stage:
-            opt = ck.optimizer
-            if lr is not None:
-                opt.lr = lr
-            if l2 is not None:
-                opt.l2 = l2
-        else:
-            opt = _fresh_optimizer(stage, net, lr, l2, dtype)
+        config, alphabet, stats, params = ck.config, ck.alphabet, ck.stats, ck.params
+        opt, prior = ck.optimizer, ck.meta or {}
+        if prior.get("rng_state"):
+            rng.bit_generator.state = prior["rng_state"]
+    elif alphabet.size != config.alphabet_size:
+        raise ValueError(f"alphabet has {alphabet.size} symbols, config expects "
+                         f"{config.alphabet_size}")
+    if dropout is not None:
+        config = override_dropout(config, dropout)
+    net = Network(config)
+    dtype = DTYPES[precision] if params is None else next(iter(params.values())).dtype
+    start_epoch = int(prior.get("epoch", 0))
+    best_ler = float(prior.get("best_dev_ler", float("inf")))
+    bad_evals = int(prior.get("bad_evals", 0))
+    stage = stage or prior.get("stage", "adam")
+    if opt is not None and opt.kind == stage:
+        if lr is not None:
+            opt.lr = lr
+        if l2 is not None:
+            opt.l2 = l2
     else:
-        if alphabet.size != config.alphabet_size:
-            raise ValueError(f"alphabet has {alphabet.size} symbols, config expects "
-                             f"{config.alphabet_size}")
-        if dropout is not None:
-            config = override_dropout(config, dropout)
-        stage = stage or "adam"
-        dtype = DTYPES[precision]
-        net = Network(config)
         opt = _fresh_optimizer(stage, net, lr, l2, dtype)
+    if params is None:
         if stats is None:
             stats = fit_normalization(iter_static(train_manifest))
         params = init_uniform(net.param_specs(), rng, dtype=dtype)
+
+    def meta(epoch):
+        return {"epoch": epoch, "stage": stage, "best_dev_ler": best_ler,
+                "bad_evals": bad_evals, "rng_state": rng.bit_generator.state}
 
     train_set = load_dataset(train_manifest, stats, dtype=dtype)
     dev_set = load_dataset(dev_manifest, stats, dtype=dtype)
@@ -226,9 +217,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
             else:
                 bad_evals += 1
 
-            meta = {"epoch": epoch, "stage": stage, "best_dev_ler": best_ler,
-                    "bad_evals": bad_evals, "rng_state": rng.bit_generator.state}
-            ckpt = Checkpoint(config, alphabet, params, opt, stats, meta)
+            ckpt = Checkpoint(config, alphabet, params, opt, stats, meta(epoch))
             save_checkpoint(last_path, ckpt)
             if improved:
                 save_checkpoint(best_path, ckpt)
@@ -250,10 +239,8 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
     if not os.path.exists(best_path):
         # a resumed run may never beat the inherited best metric; still
         # materialize best.ckpt here with the best-known parameters
-        meta = {"epoch": final_epoch, "stage": stage, "best_dev_ler": best_ler,
-                "bad_evals": bad_evals, "rng_state": rng.bit_generator.state}
-        save_checkpoint(best_path, Checkpoint(config, alphabet,
-                                              best_params or params, opt, stats, meta))
+        save_checkpoint(best_path, Checkpoint(config, alphabet, best_params or params,
+                                              opt, stats, meta(final_epoch)))
 
     return TrainResult(final_epoch - start_epoch, best_ler, log_path, best_path, last_path)
 

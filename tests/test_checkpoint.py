@@ -113,6 +113,11 @@ def _drop_optimizer_lr(header):
     return header
 
 
+def _conv_maps_list(header):
+    header["config"]["layers"][0]["maps"] = []
+    return header
+
+
 class TestCorruptHeader:
     def test_flipped_key_raises_value_error_naming_the_file(self, tmp_path):
         path = tmp_path / "flipped.ckpt"
@@ -144,8 +149,10 @@ class TestCorruptHeader:
         (lambda h: {**h, "optimizer": "adam"}, "'optimizer' is str, expected dict"),
         (_drop_optimizer_lr, "'optimizer' is missing lr"),
         (lambda h: {**h, "optimizer": {**h["optimizer"], "kinds": []}}, "'optimizer.kinds' is list, expected dict"),
+        (_conv_maps_list, "config layer 0 (conv) field 'maps'"),
+        (lambda h: {**h, "config": {**h["config"], "layers": 5}}, "'layers' is int"),
     ], ids=["list", "string", "params-int", "alphabet-int", "meta-list", "optimizer-string",
-            "optimizer-no-lr", "optimizer-kinds-list"])
+            "optimizer-no-lr", "optimizer-kinds-list", "config-maps-list", "config-layers-int"])
     def test_malformed_header_raises_value_error(self, tmp_path, edit, problem):
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, build_checkpoint())

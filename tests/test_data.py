@@ -174,6 +174,26 @@ class TestSyntheticTask:
         spec = TaskSpec(symbols=5, seed=9)
         assert TaskSpec.from_json(spec.to_json()) == spec
 
+    def test_task_fields_are_coerced_defaulted_and_extra_keys_ignored(self):
+        spec = TaskSpec.from_json({"symbols": "3", "noise_std": 0, "counts": {"train": "4"},
+                                   "seed": 2.0, "note": "extra"})
+        assert spec == TaskSpec(symbols=3, noise_std=0.0, counts={"train": 4}, seed=2)
+        assert type(spec.noise_std) is float and type(spec.counts["train"]) is int
+        assert TaskSpec.from_json({"symbols": 5}) == TaskSpec(symbols=5)
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({}, "missing field 'symbols'"),
+        ([5], "task is list"),
+        ({"symbols": None}, "field 'symbols'"),
+        ({"symbols": 5, "counts": [1]}, "field 'counts' is list, expected dict"),
+        ({"symbols": 5, "counts": {"train": None}}, "field 'counts'"),
+        ({"symbols": 5, "noise_std": "loud"}, "field 'noise_std'"),
+    ], ids=["empty", "list", "symbols-null", "counts-list", "count-null", "noise-str"])
+    def test_malformed_task_raises_value_error(self, doc, problem):
+        with pytest.raises(ValueError) as err:
+            TaskSpec.from_json(doc)
+        assert problem in str(err.value)
+
     def test_load_dataset_assembles_channels(self, tmp_path):
         spec = TaskSpec(symbols=2, bands=7, min_frames=12, max_frames=20,
                         counts={"train": 4, "dev": 0, "test": 0}, seed=5)

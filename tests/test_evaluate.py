@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from convctc.ctc import Alphabet
 from convctc.data import Utterance
 from convctc.evaluate import EditCounts, evaluate, levenshtein, load_mapping
-from convctc.network import DenseSpec, Network, NetworkConfig
+from convctc.network import ConvSpec, DenseSpec, Network, NetworkConfig
 from convctc.optim import init_uniform
 
 
@@ -146,6 +148,26 @@ class TestEvaluate:
         items = [Utterance("u0", np.ones((1, 2, 4)), [2])]
         report = evaluate(net, params, items, alphabet, mapping)
         assert report.label_error_rate == 0.0
+
+    def test_tapes_are_released_before_the_next_forward(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        net = Network(NetworkConfig(3, 5, 3, [ConvSpec(2, 3, 3)]))
+        params = init_uniform(net.param_specs(), rng)
+        items = [Utterance(f"u{i}", rng.standard_normal((3, 5, 6)).astype(np.float32), [1])
+                 for i in range(3)]
+        real_forward = Network.forward
+        previous = []            # a weakref to the last call's padded conv input
+        alive_at_start = []
+
+        def forward(self, *args, **kwargs):
+            alive_at_start.extend(ref() is not None for ref in previous)
+            out = real_forward(self, *args, **kwargs)
+            previous[:] = [weakref.ref(out[1][0][0].padded)]
+            return out
+
+        monkeypatch.setattr(Network, "forward", forward)
+        evaluate(net, params, items, Alphabet(["<blank>", "a", "b"]))
+        assert alive_at_start == [False, False]
 
     def test_report_json_fields(self):
         alphabet = Alphabet(["<blank>", "a"])

@@ -43,6 +43,61 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig.from_json({"alphabet_size": 3, "layers": []})
 
+    @pytest.mark.parametrize("doc, problem", [
+        ([], "no 'input' object"),
+        ({"input": 3, "alphabet_size": 3, "layers": []}, "no 'input' object"),
+        ({"input": {"channels": 1, "bands": 4}, "alphabet_size": 3}, "'layers' is NoneType"),
+        ({"input": {"channels": 1, "bands": 4}, "alphabet_size": 3, "layers": 5},
+         "'layers' is int, expected a list"),
+        ({"input": {"bands": 4}, "alphabet_size": 3, "layers": []},
+         "missing field 'channels'"),
+        ({"input": {"channels": 1, "bands": "four"}, "alphabet_size": 3, "layers": []},
+         "field 'bands'"),
+        ({"input": {"channels": 1, "bands": 4}, "layers": []}, "missing field 'alphabet_size'"),
+    ], ids=["list", "input-int", "no-layers", "layers-int", "no-channels", "bands-str",
+            "no-alphabet-size"])
+    def test_malformed_config_raises_value_error(self, doc, problem):
+        with pytest.raises(ValueError, match="config") as err:
+            NetworkConfig.from_json(doc)
+        assert problem in str(err.value)
+
+    @pytest.mark.parametrize("entry, problem", [
+        ({"kind": "conv", "maps": None, "filter_freq": 3, "filter_time": 5},
+         "layer 1 (conv) field 'maps'"),
+        ({"kind": "conv", "maps": float("inf"), "filter_freq": 3, "filter_time": 5},
+         "layer 1 (conv) field 'maps'"),
+        ({"kind": "conv", "maps": 2, "filter_freq": 3, "filter_time": 5, "activation": 5},
+         "layer 1 (conv) field 'activation' is int, expected str"),
+        ({"kind": "dropout", "rate": [1]}, "layer 1 (dropout) field 'rate'"),
+        ({"kind": "pool", "size": 2}, "layer 1 (pool) is missing field 'step'"),
+        ({"kind": ["conv"], "maps": 2}, "layer 1: unknown layer kind ['conv']"),
+        (5, "layer 1 is int, expected an object"),
+        ("dense", "layer 1 is str, expected an object"),
+    ], ids=["maps-null", "maps-inf", "activation-int", "rate-list", "no-step", "kind-list",
+            "entry-int", "entry-str"])
+    def test_malformed_layer_raises_value_error_naming_layer_and_field(self, entry, problem):
+        doc = {"input": {"channels": 1, "bands": 4}, "alphabet_size": 3,
+               "layers": [{"kind": "dropout", "rate": 0.1}, entry]}
+        with pytest.raises(ValueError) as err:
+            NetworkConfig.from_json(doc)
+        assert problem in str(err.value)
+
+    def test_fields_are_coerced_defaulted_and_extra_keys_ignored(self):
+        doc = {"input": {"channels": "2", "bands": 7.0, "note": "x"}, "alphabet_size": 4,
+               "comment": "extra", "layers": [
+                   {"kind": "conv", "maps": "3", "filter_freq": 3.9, "filter_time": True,
+                    "extra": [1]},
+                   {"kind": "pool", "size": 2, "step": 2},
+                   {"kind": "dropout", "rate": "0.25"},
+                   {"kind": "dense", "width": 5, "activation": "relu"}]}
+        config = NetworkConfig.from_json(doc)
+        assert config == NetworkConfig(2, 7, 4, [ConvSpec(3, 3, 1), PoolSpec(2, 2),
+                                                 DropoutSpec(0.25), DenseSpec(5, "relu")])
+        assert type(config.channels) is int and type(config.layers[2].rate) is float
+        assert config.to_json()["layers"][0] == {
+            "kind": "conv", "maps": 3, "filter_freq": 3, "filter_time": 1,
+            "activation": "maxout", "freq_padding": "same"}
+
     def test_figure3_structure(self):
         config = figure3_config()
         convs = [s for s in config.layers if isinstance(s, ConvSpec)]

@@ -8,7 +8,8 @@ import pytest
 from convctc.ctc import Alphabet
 from convctc.data import (TaskSpec, Utterance, generate_synthetic, load_manifest,
                           make_batches)
-from convctc.network import ConvSpec, DenseSpec, Network, NetworkConfig, PoolSpec
+from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkConfig,
+                             PoolSpec)
 from convctc.optim import init_uniform
 from convctc.tensor import save_tensor
 from convctc.train import batch_gradients, train
@@ -202,6 +203,21 @@ class TestTrainLoop:
         assert os.path.exists(resumed.best_path)
         ck = load_checkpoint(resumed.best_path)
         assert ck.meta["best_dev_ler"] == pytest.approx(resumed.best_dev_ler)
+
+    def test_dropout_override_applies_on_resume(self, small_task, tmp_path):
+        from convctc.checkpoint import load_checkpoint
+        config = NetworkConfig(3, 8, 3, [ConvSpec(4, 3, 5), DropoutSpec(0.3), DenseSpec(8),
+                                         DropoutSpec(0.3)])
+        first = train(config, small_task["alphabet"], small_task["train"], small_task["dev"],
+                      str(tmp_path / "a"), epochs=1, batch_size=4, quiet=True)
+        resumed = train(None, None, small_task["train"], small_task["dev"],
+                        str(tmp_path / "b"), resume=first.last_path, dropout=0.0,
+                        epochs=1, batch_size=4, quiet=True)
+        for path, rate in ((resumed.last_path, 0.0), (resumed.best_path, 0.0),
+                           (first.last_path, 0.3)):
+            layers = load_checkpoint(path).config.layers
+            rates = [spec.rate for spec in layers if isinstance(spec, DropoutSpec)]
+            assert rates == [rate, rate], path
 
     def test_unknown_stage_argument_raises(self, small_task, tmp_path):
         with pytest.raises(ValueError, match="unknown training stage 'Adam'"):
