@@ -9,20 +9,18 @@ Layout: magic "CCKP" | container version u32 | header length u64 | header
 JSON (canonical: sorted keys, no whitespace) | tensor records in the order
 the header lists them.  The canonical header and fixed tensor order make
 save -> load -> save byte-identical.  Saves are atomic, and a truncated
-file, or a header missing an entry that loading reads, fails to load with
-ValueError.
+file, or a header with an entry missing or malformed, fails to load with
+ValueError naming the file.
 """
 
 import json
 import os
 import struct
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from .ctc import Alphabet
-from .features import NormalizationStats
-from .network import Network, NetworkConfig
+from .features import NormalizationStats, read_stats, write_stats
+from .network import Network, NetworkConfig, _from_json
 from .optim import OPTIMIZER_KINDS, OptimizerState
 from .tensor import ShapeError, atomic_write, read_tensor, write_tensor
 
@@ -40,26 +38,32 @@ class Checkpoint:
     meta: dict | None = None
 
 
+@dataclass
+class _Header:
+    """The JSON header; absent meta, has_stats and optimizer take these defaults."""
+    config: dict
+    alphabet: list
+    params: list
+    meta: dict = field(default_factory=dict)
+    has_stats: bool = False
+    optimizer: dict | None = None
+
+
 def save_checkpoint(path, ckpt):
     """Write atomically (see tensor.atomic_write): a crash mid-save leaves
     the previous file whole."""
     names = list(ckpt.params.keys())
+    opt = ckpt.optimizer
     header = {
         "config": ckpt.config.to_json(),
         "alphabet": ckpt.alphabet.symbols,
         "params": names,
         "meta": ckpt.meta or {},
         "has_stats": ckpt.stats is not None,
+        "optimizer": None if opt is None else {
+            **{f.name: getattr(opt, f.name) for f in fields(opt) if f.name not in ("m", "v")},
+            "has_moments": bool(opt.m)},
     }
-    if ckpt.optimizer is not None:
-        opt = ckpt.optimizer
-        header["optimizer"] = {
-            "kind": opt.kind, "lr": opt.lr, "beta1": opt.beta1, "beta2": opt.beta2,
-            "eps": opt.eps, "l2": opt.l2, "t": opt.t, "kinds": opt.kinds,
-            "has_moments": bool(opt.m),
-        }
-    else:
-        header["optimizer"] = None
 
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as fh:
@@ -68,46 +72,13 @@ def save_checkpoint(path, ckpt):
         fh.write(blob)
         for name in names:
             write_tensor(fh, ckpt.params[name])
-        if ckpt.optimizer is not None and ckpt.optimizer.m:
+        if opt is not None and opt.m:
             for name in names:
-                write_tensor(fh, ckpt.optimizer.m[name])
+                write_tensor(fh, opt.m[name])
             for name in names:
-                write_tensor(fh, ckpt.optimizer.v[name])
+                write_tensor(fh, opt.v[name])
         if ckpt.stats is not None:
-            write_tensor(fh, ckpt.stats.means.astype(np.float64))
-            write_tensor(fh, ckpt.stats.stds.astype(np.float64))
-
-
-_HEADER_TYPES = {"config": dict, "alphabet": list, "params": list}
-_OPTIMIZER_KEYS = ("kind", "lr", "beta1", "beta2", "eps", "l2", "t", "kinds")
-
-
-def _check_header(path, header):
-    """Raise ValueError naming `path` unless the decoded header holds every
-    entry load_checkpoint reads, each of the JSON type it expects."""
-    def corrupt(problem):
-        return ValueError(f"{path}: corrupt checkpoint header: {problem}")
-
-    def expect(name, value, kind):
-        if not isinstance(value, kind):
-            raise corrupt(f"{name} is {type(value).__name__}, expected {kind.__name__}")
-
-    expect("the header", header, dict)
-    for key, kind in _HEADER_TYPES.items():
-        if key not in header:
-            raise corrupt(f"missing {key!r}")
-        expect(repr(key), header[key], kind)
-    expect("'meta'", header.get("meta", {}), dict)
-    opt = header.get("optimizer")
-    if opt is None:
-        return
-    expect("'optimizer'", opt, dict)
-    missing = [key for key in _OPTIMIZER_KEYS if key not in opt]
-    if missing:
-        raise corrupt(f"'optimizer' is missing {', '.join(missing)}")
-    if opt["kind"] not in OPTIMIZER_KINDS:
-        raise corrupt(f"unknown optimizer kind {opt['kind']!r}")
-    expect("'optimizer.kinds'", opt["kinds"], dict)
+            write_stats(fh, ckpt.stats)
 
 
 def load_checkpoint(path):
@@ -125,16 +96,25 @@ def load_checkpoint(path):
         if header_len > left:
             raise ValueError(f"{path}: truncated checkpoint: header of {header_len} bytes, "
                              f"{left} left")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        _check_header(path, header)
-
         try:
-            config = NetworkConfig.from_json(header["config"])
+            header = _from_json(_Header, json.loads(fh.read(header_len).decode("utf-8")),
+                                "the header")
+            for key in ("alphabet", "params"):
+                listed = getattr(header, key)
+                if not all(isinstance(n, str) for n in listed) or len(set(listed)) != len(listed):
+                    raise ValueError(f"{key!r} must list unique strings")
+            config = NetworkConfig.from_json(header.config)
+            alphabet = Alphabet(header.alphabet)
+            optimizer = None
+            if header.optimizer is not None:
+                optimizer = _from_json(OptimizerState, header.optimizer, "'optimizer'")
+                if optimizer.kind not in OPTIMIZER_KINDS:
+                    raise ValueError(f"unknown optimizer kind {optimizer.kind!r}")
         except ValueError as e:
             raise ValueError(f"{path}: corrupt checkpoint header: {e}") from e
-        alphabet = Alphabet(header["alphabet"])
+
         expected = {name: shape for name, shape, _ in Network(config).param_specs()}
-        names = header["params"]
+        names = header.params
         if set(names) != set(expected):
             raise ShapeError(f"{path}: parameter names do not match the config: "
                              f"{sorted(set(names) ^ set(expected))}")
@@ -145,22 +125,11 @@ def load_checkpoint(path):
                 raise ShapeError(f"{path}: parameter {name} has shape {t.shape}, "
                                  f"config expects {expected[name]}")
             params[name] = t
+        if optimizer is not None and header.optimizer.get("has_moments"):
+            for name in names:
+                optimizer.m[name] = read_tensor(fh)
+            for name in names:
+                optimizer.v[name] = read_tensor(fh)
+        stats = read_stats(fh, path) if header.has_stats else None
 
-        optimizer = None
-        opt_doc = header.get("optimizer")
-        if opt_doc is not None:
-            optimizer = OptimizerState(
-                kind=opt_doc["kind"], lr=opt_doc["lr"], beta1=opt_doc["beta1"],
-                beta2=opt_doc["beta2"], eps=opt_doc["eps"], l2=opt_doc["l2"],
-                t=opt_doc["t"], kinds=dict(opt_doc["kinds"]))
-            if opt_doc.get("has_moments"):
-                for name in names:
-                    optimizer.m[name] = read_tensor(fh)
-                for name in names:
-                    optimizer.v[name] = read_tensor(fh)
-
-        stats = None
-        if header.get("has_stats"):
-            stats = NormalizationStats(read_tensor(fh), read_tensor(fh))
-
-    return Checkpoint(config, alphabet, params, optimizer, stats, header.get("meta", {}))
+    return Checkpoint(config, alphabet, params, optimizer, stats, header.meta)

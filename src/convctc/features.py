@@ -98,16 +98,31 @@ def assemble_input(static, stats=None, window=DELTA_WINDOW, dtype=None):
     return assembled
 
 
+def write_stats(fh, stats):
+    """Append the stats record, means then stds as f64 tensors, to `fh`."""
+    write_tensor(fh, stats.means.astype(np.float64))
+    write_tensor(fh, stats.stds.astype(np.float64))
+
+
+def read_stats(fh, where):
+    """Read the stats record at `fh`'s position: two [3 x bands] arrays of one
+    shape, finite, with positive stds.  Otherwise raise ValueError naming `where`."""
+    means, stds = read_tensor(fh), read_tensor(fh)
+    if means.ndim != 2 or means.shape[0] != 3 or stds.shape != means.shape:
+        raise ValueError(f"{where}: stats must be two [3 x bands] arrays of one shape, "
+                         f"got {means.shape} and {stds.shape}")
+    if not (np.isfinite(means).all() and np.isfinite(stds).all() and (stds > 0).all()):
+        raise ValueError(f"{where}: stats must be finite, with positive stds")
+    return NormalizationStats(means, stds)
+
+
 def save_stats(path, stats):
     """Write atomically (see tensor.atomic_write): a failed save leaves the
     previous file whole."""
     with atomic_write(path) as fh:
-        write_tensor(fh, stats.means.astype(np.float64))
-        write_tensor(fh, stats.stds.astype(np.float64))
+        write_stats(fh, stats)
 
 
 def load_stats(path):
     with open(path, "rb") as fh:
-        means = read_tensor(fh)
-        stds = read_tensor(fh)
-    return NormalizationStats(means, stds)
+        return read_stats(fh, path)

@@ -94,7 +94,7 @@ def _from_json(cls, doc, where):
                 raise ValueError(f"{where} field {f.name!r}: {e}") from e
         elif not isinstance(value, f.type):
             raise ValueError(f"{where} field {f.name!r} is {type(value).__name__}, "
-                             f"expected {f.type.__name__}")
+                             f"expected {getattr(f.type, '__name__', f.type)}")
         values[f.name] = value
     return cls(**values)
 

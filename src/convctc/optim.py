@@ -35,12 +35,12 @@ def init_uniform(param_specs, rng, lo=-0.05, hi=0.05, dtype=np.float32, alpha_in
 class OptimizerState:
     kind: str                      # one of OPTIMIZER_KINDS
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    l2: float = 0.0
-    t: int = 0
-    kinds: dict = field(default_factory=dict)     # param name -> weight/bias/alpha
+    beta1: float
+    beta2: float
+    eps: float
+    l2: float
+    t: int
+    kinds: dict                    # param name -> weight/bias/alpha
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
@@ -49,8 +49,8 @@ def make_optimizer(kind, param_specs, lr, beta1=0.9, beta2=0.999, eps=1e-8, l2=0
                    dtype=np.float32):
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    state = OptimizerState(kind, lr, beta1, beta2, eps, l2,
-                           kinds={name: k for name, _, k in param_specs})
+    state = OptimizerState(kind, lr, beta1, beta2, eps, l2, 0,
+                           {name: k for name, _, k in param_specs})
     if kind == "adam":
         for name, shape, _ in param_specs:
             state.m[name] = np.zeros(shape, dtype=dtype)

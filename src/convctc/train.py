@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,12 +28,22 @@ from .ctc import ctc_grad, ctc_loss
 from .data import iter_static, load_dataset, make_batches
 from .evaluate import evaluate
 from .features import fit_normalization
-from .network import DropoutSpec, Network
+from .network import DropoutSpec, Network, _from_json
 from .optim import global_norm_clip, init_uniform, make_optimizer, step
 from .tensor import DTYPES
 
 ADAM_LR = 1e-4
 STAGE_DEFAULTS = {"adam": (ADAM_LR, 0.0), "sgd": (1e-5, 1e-5)}   # stage -> default (lr, l2)
+
+
+@dataclass
+class RunMeta:
+    """The run state a checkpoint's meta carries from one epoch to the next."""
+    epoch: int = 0
+    stage: str = "adam"
+    best_dev_ler: float = float("inf")
+    bad_evals: int = 0
+    rng_state: dict | None = None
 
 
 @dataclass
@@ -114,13 +124,16 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         raise ValueError(f"batch_loss must be 'sum' or 'mean', got {batch_loss!r}")
 
     rng = np.random.default_rng(seed)
-    params, opt, prior = None, None, {}
+    params, opt, prior = None, None, RunMeta()
     if resume is not None:
-        ck = load_checkpoint(resume) if isinstance(resume, str) else resume
+        ck = load_checkpoint(resume)
         config, alphabet, stats, params = ck.config, ck.alphabet, ck.stats, ck.params
-        opt, prior = ck.optimizer, ck.meta or {}
-        if prior.get("rng_state"):
-            rng.bit_generator.state = prior["rng_state"]
+        opt, prior = ck.optimizer, _from_json(RunMeta, ck.meta, f"{resume}: checkpoint meta")
+        if prior.rng_state:
+            try:
+                rng.bit_generator.state = prior.rng_state
+            except (TypeError, KeyError, ValueError) as e:
+                raise ValueError(f"{resume}: checkpoint meta field 'rng_state': {e!r}") from e
     elif alphabet.size != config.alphabet_size:
         raise ValueError(f"alphabet has {alphabet.size} symbols, config expects "
                          f"{config.alphabet_size}")
@@ -128,10 +141,8 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         config = override_dropout(config, dropout)
     net = Network(config)
     dtype = DTYPES[precision] if params is None else next(iter(params.values())).dtype
-    start_epoch = int(prior.get("epoch", 0))
-    best_ler = float(prior.get("best_dev_ler", float("inf")))
-    bad_evals = int(prior.get("bad_evals", 0))
-    stage = stage or prior.get("stage", "adam")
+    start_epoch, best_ler, bad_evals = prior.epoch, prior.best_dev_ler, prior.bad_evals
+    stage = stage or prior.stage
     if opt is not None and opt.kind == stage:
         if lr is not None:
             opt.lr = lr
@@ -145,8 +156,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         params = init_uniform(net.param_specs(), rng, dtype=dtype)
 
     def meta(epoch):
-        return {"epoch": epoch, "stage": stage, "best_dev_ler": best_ler,
-                "bad_evals": bad_evals, "rng_state": rng.bit_generator.state}
+        return asdict(RunMeta(epoch, stage, best_ler, bad_evals, rng.bit_generator.state))
 
     train_set = load_dataset(train_manifest, stats, dtype=dtype)
     dev_set = load_dataset(dev_manifest, stats, dtype=dtype)

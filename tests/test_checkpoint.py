@@ -93,6 +93,15 @@ class TestValidation:
         with pytest.raises(ShapeError, match="output.w"):
             load_checkpoint(path)
 
+    def test_malformed_stats_raise_value_error_naming_the_file(self, tmp_path):
+        ckpt = build_checkpoint()
+        ckpt.stats = NormalizationStats(np.zeros(6), np.ones(6))
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(ValueError, match=r"stats must be two \[3 x bands\] arrays") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -125,7 +134,7 @@ class TestCorruptHeader:
         raw = path.read_bytes()
         assert raw.count(b'"params"') == 1
         path.write_bytes(raw.replace(b'"params"', b'"barams"'))
-        with pytest.raises(ValueError, match="missing 'params'") as err:
+        with pytest.raises(ValueError, match="missing field 'params'") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
@@ -141,18 +150,28 @@ class TestCorruptHeader:
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda h: [h], "the header is list, expected dict"),
-        (lambda h: "checkpoint", "the header is str, expected dict"),
+        (lambda h: [h], "the header is list, expected an object"),
+        (lambda h: "checkpoint", "the header is str, expected an object"),
         (lambda h: {**h, "params": 7}, "'params' is int, expected list"),
         (lambda h: {**h, "alphabet": 3}, "'alphabet' is int, expected list"),
         (lambda h: {**h, "meta": []}, "'meta' is list, expected dict"),
         (lambda h: {**h, "optimizer": "adam"}, "'optimizer' is str, expected dict"),
-        (_drop_optimizer_lr, "'optimizer' is missing lr"),
-        (lambda h: {**h, "optimizer": {**h["optimizer"], "kinds": []}}, "'optimizer.kinds' is list, expected dict"),
+        (_drop_optimizer_lr, "'optimizer' is missing field 'lr'"),
+        (lambda h: {**h, "optimizer": {**h["optimizer"], "kinds": []}},
+         "'optimizer' field 'kinds' is list, expected dict"),
         (_conv_maps_list, "config layer 0 (conv) field 'maps'"),
         (lambda h: {**h, "config": {**h["config"], "layers": 5}}, "'layers' is int"),
+        (lambda h: {**h, "alphabet": [[s] for s in h["alphabet"]]},
+         "'alphabet' must list unique strings"),
+        (lambda h: {**h, "alphabet": list(range(len(h["alphabet"])))},
+         "'alphabet' must list unique strings"),
+        (lambda h: {**h, "params": [[n] for n in h["params"]]},
+         "'params' must list unique strings"),
+        (lambda h: {**h, "params": h["params"] + h["params"][:1]},
+         "'params' must list unique strings"),
     ], ids=["list", "string", "params-int", "alphabet-int", "meta-list", "optimizer-string",
-            "optimizer-no-lr", "optimizer-kinds-list", "config-maps-list", "config-layers-int"])
+            "optimizer-no-lr", "optimizer-kinds-list", "config-maps-list", "config-layers-int",
+            "alphabet-lists", "alphabet-ints", "params-lists", "params-repeated"])
     def test_malformed_header_raises_value_error(self, tmp_path, edit, problem):
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, build_checkpoint())

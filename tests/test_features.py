@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ class TestStatsFile:
         back = load_stats(path)
         np.testing.assert_array_equal(back.means, stats.means)
         np.testing.assert_array_equal(back.stds, stats.stds)
+
+    @pytest.mark.parametrize("means, stds, problem", [
+        (np.zeros(5), np.ones(5), "two [3 x bands] arrays"),
+        (np.zeros((2, 5)), np.ones((2, 5)), "two [3 x bands] arrays"),
+        (np.zeros((3, 5)), np.ones((3, 4)), "two [3 x bands] arrays"),
+        (np.zeros((3, 5)), np.zeros((3, 5)), "positive stds"),
+        (np.full((3, 5), np.nan), np.ones((3, 5)), "finite"),
+        (np.zeros((3, 5)), np.full((3, 5), np.inf), "finite"),
+    ], ids=["rank-1", "two-channels", "shapes-differ", "zero-std", "nan-mean", "inf-std"])
+    def test_malformed_stats_raise_value_error_naming_the_file(self, tmp_path, means, stds,
+                                                                problem):
+        path = tmp_path / "stats.tnsr"
+        with open(path, "wb") as fh:
+            features.write_tensor(fh, means)
+            features.write_tensor(fh, stds)
+        with pytest.raises(ValueError, match=re.escape(problem)) as err:
+            load_stats(path)
+        assert str(path) in str(err.value)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)

@@ -1,10 +1,12 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from convctc.checkpoint import load_checkpoint
 from convctc.ctc import Alphabet
 from convctc.data import (TaskSpec, Utterance, generate_synthetic, load_manifest,
                           make_batches)
@@ -13,6 +15,7 @@ from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkC
 from convctc.optim import init_uniform
 from convctc.tensor import save_tensor
 from convctc.train import batch_gradients, train
+from test_checkpoint import rewrite_header
 
 
 def tiny_net(bands=6, alphabet_size=3):
@@ -191,7 +194,6 @@ class TestTrainLoop:
 
     def test_resume_without_improvement_still_writes_best(self, small_task, tmp_path):
         import os
-        from convctc.checkpoint import load_checkpoint
         first = train(small_config(), small_task["alphabet"], small_task["train"],
                       small_task["dev"], str(tmp_path / "a"), epochs=1,
                       batch_size=4, quiet=True)
@@ -205,7 +207,6 @@ class TestTrainLoop:
         assert ck.meta["best_dev_ler"] == pytest.approx(resumed.best_dev_ler)
 
     def test_dropout_override_applies_on_resume(self, small_task, tmp_path):
-        from convctc.checkpoint import load_checkpoint
         config = NetworkConfig(3, 8, 3, [ConvSpec(4, 3, 5), DropoutSpec(0.3), DenseSpec(8),
                                          DropoutSpec(0.3)])
         first = train(config, small_task["alphabet"], small_task["train"], small_task["dev"],
@@ -251,6 +252,71 @@ class TestTrainLoop:
         lines = [json.loads(l) for l in Path(resumed.log_path).read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [1, 2]
         assert Path(resumed.log_path).read_bytes() == Path(full.log_path).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def one_epoch_run(small_task, tmp_path_factory):
+    out = tmp_path_factory.mktemp("one-epoch")
+    return train(small_config(), small_task["alphabet"], small_task["train"], small_task["dev"],
+                 str(out / "run"), epochs=1, batch_size=4, quiet=True)
+
+
+def _edit_meta(**entries):
+    return lambda h: {**h, "meta": {**h["meta"], **entries}}
+
+
+def _edit_optimizer(drop=(), **entries):
+    def edit(h):
+        opt = {k: v for k, v in h["optimizer"].items() if k not in drop}
+        return {**h, "optimizer": {**opt, **entries}}
+    return edit
+
+
+class TestResumeFaults:
+    """A malformed header or meta fails the resume with ValueError naming the
+    checkpoint and the field, never TypeError or a crash in the first step."""
+
+    @staticmethod
+    def _edited_copy(run, tmp_path, edit):
+        path = tmp_path / "edited.ckpt"
+        shutil.copyfile(run.last_path, path)
+        rewrite_header(path, edit)
+        return path
+
+    @staticmethod
+    def _resume(small_task, tmp_path, path):
+        return train(None, None, small_task["train"], small_task["dev"], str(tmp_path / "b"),
+                     resume=path, epochs=1, batch_size=4, quiet=True)
+
+    @pytest.mark.parametrize("edit, field", [
+        (_edit_meta(epoch=[]), "'epoch'"),
+        (_edit_meta(best_dev_ler="x"), "'best_dev_ler'"),
+        (_edit_meta(bad_evals=None), "'bad_evals'"),
+        (_edit_meta(stage=3), "'stage'"),
+        (_edit_meta(rng_state=5), "'rng_state'"),
+        (_edit_meta(rng_state={"bit_generator": "PCG64", "state": 5}), "'rng_state'"),
+        (_edit_meta(rng_state={"bit_generator": "MT19937"}), "'rng_state'"),
+    ], ids=["epoch-list", "best-dev-ler-string", "bad-evals-null", "stage-int",
+            "rng-state-int", "rng-state-bad-state", "rng-state-other-generator"])
+    def test_malformed_meta_fails_resume(self, small_task, tmp_path, one_epoch_run, edit, field):
+        path = self._edited_copy(one_epoch_run, tmp_path, edit)
+        load_checkpoint(path)       # the meta is a free dict until a resume reads it
+        with pytest.raises(ValueError, match=field) as err:
+            self._resume(small_task, tmp_path, path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("edit, field", [
+        (_edit_optimizer(lr="abc"), "'lr'"),
+        (_edit_optimizer(drop=("t",)), "'t'"),
+        (_edit_optimizer(drop=("beta1",)), "'beta1'"),
+    ], ids=["lr-string", "no-t", "no-beta1"])
+    def test_malformed_optimizer_fails_load(self, small_task, tmp_path, one_epoch_run, edit,
+                                            field):
+        path = self._edited_copy(one_epoch_run, tmp_path, edit)
+        for call in (load_checkpoint, lambda p: self._resume(small_task, tmp_path, p)):
+            with pytest.raises(ValueError, match=f"corrupt checkpoint header.*{field}") as err:
+                call(path)
+            assert str(path) in str(err.value)
 
 
 def _unit_stats():
