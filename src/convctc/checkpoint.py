@@ -82,7 +82,8 @@ def save_checkpoint(path, ckpt):
 
 
 def load_checkpoint(path):
-    """Load and validate: parameter names and shapes must match the config."""
+    """Load and validate: parameter names, and the shapes of the parameters
+    and Adam moments, must match the config."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:4] != _MAGIC:
@@ -119,17 +120,16 @@ def load_checkpoint(path):
             raise ShapeError(f"{path}: parameter names do not match the config: "
                              f"{sorted(set(names) ^ set(expected))}")
         params = {}
-        for name in names:
-            t = read_tensor(fh)
-            if t.shape != expected[name]:
-                raise ShapeError(f"{path}: parameter {name} has shape {t.shape}, "
-                                 f"config expects {expected[name]}")
-            params[name] = t
+        records = [(params, "parameter")]
         if optimizer is not None and header.optimizer.get("has_moments"):
+            records += [(optimizer.m, "Adam moment m of"), (optimizer.v, "Adam moment v of")]
+        for tensors, what in records:
             for name in names:
-                optimizer.m[name] = read_tensor(fh)
-            for name in names:
-                optimizer.v[name] = read_tensor(fh)
+                t = read_tensor(fh, path)
+                if t.shape != expected[name]:
+                    raise ShapeError(f"{path}: {what} {name} has shape {t.shape}, "
+                                     f"config expects {expected[name]}")
+                tensors[name] = t
         stats = read_stats(fh, path) if header.has_stats else None
 
     return Checkpoint(config, alphabet, params, optimizer, stats, header.meta)

@@ -142,42 +142,43 @@ def ctc_loss(log_probs, target):
         return np.inf, lattice
 
     # skip transition s-2 -> s permitted only onto a label differing from
-    # the one two slots back (blanks are never skip destinations)
-    can_skip = np.zeros(S, dtype=bool)
-    if S >= 4:
-        can_skip[3::2] = aug[3::2] != aug[1:-2:2]
-
-    emit = log_probs[aug, :]                     # [S, T]
+    # the one two slots back (blanks are never skip destinations); added to
+    # a log-probability, the mask keeps it (0) or makes it impossible (-inf);
+    # skip_into[s] is the mask of s-2 -> s, two -inf slots past the end
     neg = -np.inf
+    skip_into = np.full(S + 2, neg)
+    skip_into[3:S:2][aug[3::2] != aug[1:-2:2]] = 0.0
 
-    alpha = np.full((S, T), neg)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[1, 0] = emit[1, 0]
+    # Rows are frames.  Two -inf slots pad the alpha rows before the lattice
+    # and the beta loop's successor row after it, so every shifted read is in
+    # range and reads -inf where no transition exists.
+    emit = log_probs[aug, :].T                   # [T, S]
+    a = np.full((T, S + 2), neg)
+    alpha = a[:, 2:]
+    alpha[0, :2] = emit[0, :2]
+    skip = np.empty(S)
     for t in range(1, T):
-        prev = alpha[:, t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        skip = np.where(can_skip[2:], prev[:-2], neg)
-        acc[2:] = np.logaddexp(acc[2:], skip)
-        alpha[:, t] = acc + emit[:, t]
+        prev, row = a[t - 1], alpha[t]
+        np.logaddexp(prev[2:], prev[1:-1], out=row)
+        np.add(prev[:-2], skip_into[:S], out=skip)
+        np.logaddexp(row, skip, out=row)
+        row += emit[t]
 
     if S > 1:
-        log_likelihood = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
+        log_likelihood = float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
     else:
-        log_likelihood = float(alpha[0, -1])
+        log_likelihood = float(alpha[-1, 0])
 
-    beta = np.full((S, T), neg)
-    beta[-1, -1] = 0.0
-    if S > 1:
-        beta[-2, -1] = 0.0
+    beta = np.full((T, S), neg)
+    beta[-1, -2:] = 0.0
+    nxt = np.full(S + 2, neg)
     for t in range(T - 2, -1, -1):
-        nxt = beta[:, t + 1] + emit[:, t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        skip = np.where(can_skip[2:], nxt[2:], neg)
-        acc[:-2] = np.logaddexp(acc[:-2], skip)
-        beta[:, t] = acc
+        row = beta[t]
+        np.add(beta[t + 1], emit[t + 1], out=nxt[:S])
+        np.logaddexp(nxt[:S], nxt[1:-1], out=row)
+        np.add(nxt[2:], skip_into[2:], out=skip)
+        np.logaddexp(row, skip, out=row)
+    alpha, beta = alpha.T, beta.T                # [S, T]
 
     lattice = CtcLattice(alpha, beta, aug, log_likelihood, feasible=True)
     return -log_likelihood, lattice

@@ -107,7 +107,7 @@ def write_stats(fh, stats):
 def read_stats(fh, where):
     """Read the stats record at `fh`'s position: two [3 x bands] arrays of one
     shape, finite, with positive stds.  Otherwise raise ValueError naming `where`."""
-    means, stds = read_tensor(fh), read_tensor(fh)
+    means, stds = read_tensor(fh, where), read_tensor(fh, where)
     if means.ndim != 2 or means.shape[0] != 3 or stds.shape != means.shape:
         raise ValueError(f"{where}: stats must be two [3 x bands] arrays of one shape, "
                          f"got {means.shape} and {stds.shape}")

@@ -212,7 +212,11 @@ def _col2im(grad_padded, grad_patches, m, n, out_b, out_f):
 
 def conv2d_backward(tape, grad_out, weights):
     """Gradients of conv2d_forward, given the weights it ran with:
-    (grad_x, grad_weights, grad_biases)."""
+    (grad_x, grad_weights, grad_biases).
+
+    One patch matrix serves both GEMMs: it holds the forward's patches until
+    grad_weights is computed from them, then the patch gradients that col2im
+    scatters onto the input."""
     grad_out = np.asarray(grad_out)
     weights = np.asarray(weights)
     if grad_out.shape != tape.out_shape:
@@ -229,23 +233,25 @@ def conv2d_backward(tape, grad_out, weights):
     w2 = weights.reshape(k, -1)
     grad_padded = np.zeros_like(tape.padded)
     parts = _parts(w2.size * gy.shape[1], tape.padded, weights, grad_out)
-    patches = np.empty((w2.shape[1], gy.shape[1]), dtype=tape.padded.dtype)
-    grad_patches = np.empty(patches.shape, dtype=np.result_type(w2, gy))
+    patches = np.empty((w2.shape[1], gy.shape[1]), dtype=np.result_type(tape.padded, w2, gy))
     grad_w = np.empty(w2.shape, dtype=np.result_type(gy, patches))
 
-    def channels(i, parts):
-        ch = _rows(c, i, parts)
-        rows = _channel_rows(ch, m, n)
-        _fill_patches(patches, tape.padded, ch, m, n)
-        np.matmul(w2[:, rows].T, gy, out=grad_patches[rows])
-        _col2im(grad_padded[ch], grad_patches[rows], m, n, out_b, out_f)
+    def fill(i, parts):
+        _fill_patches(patches, tape.padded, _rows(c, i, parts), m, n)
 
     def maps(i, parts):
         r = _rows(k, i, parts)
         np.matmul(gy[r], patches.T, out=grad_w[r])
 
-    _in_parts(channels, parts)
+    def channels(i, parts):
+        ch = _rows(c, i, parts)
+        rows = _channel_rows(ch, m, n)
+        np.matmul(w2[:, rows].T, gy, out=patches[rows])     # the patch gradients
+        _col2im(grad_padded[ch], patches[rows], m, n, out_b, out_f)
+
+    _in_parts(fill, parts)
     _in_parts(maps, parts)
+    _in_parts(channels, parts)
     grad_w = grad_w.reshape(k, c, m, n)
     fl, tl = tape.pads
     _, bands, frames = tape.in_shape

@@ -31,7 +31,10 @@ Config files are JSON:
     }
 """
 
+import contextlib
 import json
+import math
+import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -170,9 +173,12 @@ class _AffineStage:
     the larger of the two halves; "linear" is the output projection.
     """
 
-    def __init__(self, spec, weight_shape):
+    def __init__(self, spec, weight_shape, bands=1):
         self.spec = spec
         self.weight_shape = weight_shape     # [k x c x m x n] conv, [k x d] dense
+        # multiply-adds per frame of each of its GEMMs, over `bands` output bands
+        halves = 2 if spec.activation == "maxout" else 1
+        self.muladds_per_frame = halves * math.prod(weight_shape) * bands
 
     def param_specs(self):
         w = self.weight_shape
@@ -315,14 +321,14 @@ class Network:
                     raise ValueError(f"layer {i}: conv cannot follow a dense layer")
                 _require(i, "activation", spec.activation, ("maxout", "relu", "prelu"))
                 _require(i, "freq_padding", spec.freq_padding, ("same", "valid"))
-                push("conv", _AffineStage(spec, (spec.maps, channels, spec.filter_freq,
-                                                 spec.filter_time)))
+                weight_shape = (spec.maps, channels, spec.filter_freq, spec.filter_time)
                 channels = spec.maps
                 if spec.freq_padding == "valid":
                     bands = bands - spec.filter_freq + 1
                     if bands < 1:
                         raise ValueError(f"layer {i}: filter height {spec.filter_freq} "
                                          f"exceeds band count")
+                push("conv", _AffineStage(spec, weight_shape, bands))
             elif isinstance(spec, PoolSpec):
                 if flat_width is not None:
                     raise ValueError(f"layer {i}: pool cannot follow a dense layer")
@@ -359,6 +365,11 @@ class Network:
     def param_specs(self):
         return list(self.param_list)
 
+    def largest_gemm(self, frames):
+        """Multiply-adds of the stack's largest conv or dense GEMM over `frames` frames."""
+        return frames * max(stage.muladds_per_frame for _, stage in self.stack
+                            if isinstance(stage, _AffineStage))
+
     def _stage_params(self, name, stage, params):
         out = {}
         for local, shape, _ in stage.param_specs():
@@ -393,15 +404,18 @@ class Network:
         backward has returned, so a stage's intermediates are freed before
         the stage below it runs, and a consumed list raises ValueError.  A
         stage that raises leaves its own tape, and those below it, in place.
-        With `into`, the dict an earlier backward returned, each stage's
-        gradients are added into its arrays in place as soon as that stage
-        is done, and the same arrays are returned.
+        With `into`, each stage's gradients are added in place into the
+        arrays of that gradient set as soon as the stage is done (a name not
+        yet in it takes this pass's array), and its arrays are returned.
+        `into` is a dict, such as an earlier backward returned, or one item's
+        share of a GradientSum, whose turns order the adds of several items.
         """
         if len(tapes) != len(self.stack):
             raise ValueError(f"got {len(tapes)} tapes for {len(self.stack)} stages")
         if any(tape is None for tape in tapes):
             raise ValueError("these tapes were already consumed by a backward pass")
-        grads = {} if into is None else into
+        if not isinstance(into, ItemGradients):
+            into = GradientSum(len(self.stack), into).item(0)
         g = np.asarray(grad_log_probs)
         for i in range(len(self.stack) - 1, -1, -1):
             name, stage = self.stack[i]
@@ -410,10 +424,68 @@ class Network:
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({name}): {e}") from e
             tapes[i] = None
-            for ln, gv in local.items():
-                full = f"{name}.{ln}"
-                if into is None:
-                    grads[full] = gv
-                else:
-                    grads[full] += gv
+            if not local:
+                continue
+            with into.adding(i) as grads:
+                for ln, gv in local.items():
+                    full = f"{name}.{ln}"
+                    if full in grads:
+                        grads[full] += gv
+                    else:
+                        grads[full] = gv
+        grads = into.total.grads
         return {name: grads[name] for name, _, _ in self.param_list}
+
+
+class GradientSum:
+    """One gradient set that the items of a batch add into, from one thread or
+    two, with the bits of the serial sum over the items in order.
+
+    Item j's backward takes `into=total.item(j)`, and adds a stage's
+    gradients only after every item before it has added that stage or has
+    been released.  An item that will add nothing more, because it was
+    skipped or failed, must be released, or the items after it wait for it
+    forever; releasing an item that has added every stage changes nothing.
+    """
+
+    def __init__(self, stages, grads=None):
+        self.grads = {} if grads is None else grads
+        self._turns = threading.Condition()
+        self._next = [0] * stages            # per stage, the item whose turn it is
+        self._released = set()
+
+    def item(self, j):
+        return ItemGradients(self, j)
+
+    def release(self, j):
+        with self._turns:
+            self._released.add(j)
+            for stage, item in enumerate(self._next):
+                self._next[stage] = self._unreleased(item)
+            self._turns.notify_all()
+
+    def _unreleased(self, j):
+        """The first item from j on that was not released."""
+        while j in self._released:
+            j += 1
+        return j
+
+    @contextlib.contextmanager
+    def _turn(self, j, stage):
+        with self._turns:
+            self._turns.wait_for(lambda: self._next[stage] == j)
+        yield self.grads
+        with self._turns:
+            self._next[stage] = self._unreleased(j + 1)
+            self._turns.notify_all()
+
+
+@dataclass(frozen=True)
+class ItemGradients:
+    """Item `index`'s share of a GradientSum, for Network.backward's `into`."""
+    total: GradientSum
+    index: int
+
+    def adding(self, stage):
+        """Context in which this item adds the gradients of `stage`: it waits its turn."""
+        return self.total._turn(self.index, stage)

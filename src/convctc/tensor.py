@@ -61,36 +61,37 @@ def write_tensor(fh, arr):
     fh.write(np.ascontiguousarray(arr).astype(f"<f{tag}", copy=False).tobytes())
 
 
-def read_tensor(fh):
+def read_tensor(fh, where=None):
     """Read the next tensor record from an open, seekable binary stream.
 
-    A cut or corrupt record raises ValueError.  Every size is checked against
-    the bytes left in the stream before it is read, so a corrupt extent
-    cannot ask for a huge allocation.
+    A cut or corrupt record raises ValueError, naming `where`, the file, when
+    given.  Every size is checked against the bytes left in the stream before
+    it is read, so a corrupt extent cannot ask for a huge allocation.
     """
+    at = "" if where is None else f"{where}: "
     pos = fh.tell()
     left = fh.seek(0, os.SEEK_END) - pos
     fh.seek(pos)
     head = fh.read(16)
+    if len(head) < 16 and _MAGIC.startswith(head[:4]):
+        raise ValueError(f"{at}truncated tensor record: {len(head)}-byte header, expected 16")
     if head[:4] != _MAGIC:
-        raise ValueError(f"bad tensor magic {head[:4]!r}, expected {_MAGIC!r}")
-    if len(head) < 16:
-        raise ValueError(f"truncated tensor record: {len(head)}-byte header, expected 16")
+        raise ValueError(f"{at}bad tensor magic {head[:4]!r}, expected {_MAGIC!r}")
     version, tag, rank = struct.unpack("<III", head[4:])
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported tensor format version {version}")
+        raise ValueError(f"{at}unsupported tensor format version {version}")
     if tag not in _DTYPE_TAGS:
-        raise ValueError(f"unknown dtype tag {tag}")
+        raise ValueError(f"{at}unknown dtype tag {tag}")
     if rank > MAX_RANK:
-        raise ValueError(f"tensor rank {rank} exceeds {MAX_RANK}")
+        raise ValueError(f"{at}tensor rank {rank} exceeds {MAX_RANK}")
     if 16 + 8 * rank > left:
-        raise ValueError(f"truncated tensor record: {left - 16} bytes left for "
+        raise ValueError(f"{at}truncated tensor record: {left - 16} bytes left for "
                          f"{rank} extents")
     shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
     dtype = _DTYPE_TAGS[tag]
     nbytes = math.prod(shape) * dtype.itemsize
     if 16 + 8 * rank + nbytes > left:
-        raise ValueError(f"truncated tensor record: {left - 16 - 8 * rank} bytes left "
+        raise ValueError(f"{at}truncated tensor record: {left - 16 - 8 * rank} bytes left "
                          f"for a {shape} {dtype} payload of {nbytes}")
     return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
 
@@ -129,4 +130,4 @@ def save_tensor(path, arr):
 
 def load_tensor(path):
     with open(path, "rb") as fh:
-        return read_tensor(fh)
+        return read_tensor(fh, path)

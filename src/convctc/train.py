@@ -17,18 +17,20 @@ uninterrupted one.
 import json
 import os
 import sys
+import threading
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import layers
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .ctc import ctc_grad, ctc_loss
 from .data import iter_static, load_dataset, make_batches
 from .evaluate import evaluate
 from .features import fit_normalization
-from .network import DropoutSpec, Network, _from_json
+from .network import DropoutSpec, GradientSum, Network, _from_json
 from .optim import global_norm_clip, init_uniform, make_optimizer, step
 from .tensor import DTYPES
 
@@ -69,29 +71,67 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
 
     Returns (grads or None, summed loss, counted items, skipped items).
     Infeasibly short utterances are skipped; a non-finite loss on a feasible
-    one raises with the utterance id.  Each item's backward adds into the
-    first item's gradient arrays and frees the item's tapes as it goes, so
-    one item's intermediates and one set of gradients are alive at a time.
+    one raises with the utterance id.  Each item runs with its own generator,
+    seeded from `rng` in item order.
+
+    The items run on two threads, the even ones here and the odd ones on a
+    worker, when two cores are free for them (layers._halves_run_together)
+    and no GEMM of the longest item is large enough to split; otherwise they
+    run here in order.  Either way every item's backward adds into one
+    gradient set, a stage at a time in item order (network.GradientSum), so
+    the bits are those of the serial sum, and frees the item's tapes as it
+    goes.  A failing item stops the items after it, and the batch raises the
+    first item's error once both threads are done.
     """
-    grads = None
-    loss_sum = 0.0
-    counted = 0
-    skipped = 0
-    for utt in batch.utterances:
-        log_probs, tapes = net.forward(utt.features, params, train=train, rng=rng)
+    items = batch.utterances
+    seeds = [None] * len(items) if rng is None else rng.integers(2**63, size=len(items))
+    total = GradientSum(len(net.stack))
+    losses = [None] * len(items)
+    errors = [None] * len(items)
+
+    def one(j):
+        utt = items[j]
+        item_rng = None if seeds[j] is None else np.random.default_rng(seeds[j])
+        log_probs, tapes = net.forward(utt.features, params, train=train, rng=item_rng)
         if np.isnan(log_probs).any():
             raise RuntimeError(f"non-finite network output for utterance {utt.uid}")
         loss, lattice = ctc_loss(log_probs, utt.target)
         if not lattice.feasible:
-            skipped += 1
-            del tapes        # not alive through the next item's forward
-            continue
+            return None
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss for utterance {utt.uid}")
-        grads = net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype), into=grads)
-        loss_sum += float(loss)
-        counted += 1
-    return grads, loss_sum, counted, skipped
+        net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype), into=total.item(j))
+        return float(loss)
+
+    def run(js):
+        for j in js:
+            try:
+                if not any(e is not None for e in errors[:j]):
+                    losses[j] = one(j)
+            except BaseException as e:       # re-raised below, in item order
+                errors[j] = e
+            finally:
+                total.release(j)
+
+    if len(items) > 1 and layers._halves_run_together() and (
+            net.largest_gemm(max(u.features.shape[-1] for u in items)) < layers.SPLIT_MIN_MULADDS):
+        worker = threading.Thread(target=run, args=(range(1, len(items), 2),),
+                                  name="convctc-items", daemon=True)
+        worker.start()
+        run(range(0, len(items), 2))
+        worker.join()
+    else:
+        run(range(len(items)))
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+
+    counted = [loss for loss in losses if loss is not None]
+    loss_sum = 0.0
+    for loss in counted:     # in item order; sum() compensates from Python 3.12 on
+        loss_sum += loss
+    grads = {name: total.grads[name] for name, _, _ in net.param_specs()} if counted else None
+    return grads, loss_sum, len(counted), len(items) - len(counted)
 
 
 def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,

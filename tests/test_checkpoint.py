@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -101,6 +102,34 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"stats must be two \[3 x bands\] arrays") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_wrong_moment_shape_rejected_at_load(self, tmp_path, moment):
+        ckpt = build_checkpoint()
+        getattr(ckpt.optimizer, moment)["conv1.w2"] = np.zeros(1, dtype=np.float32)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(ValueError, match=f"Adam moment {moment} of conv1.w2 has shape") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    # records 0-9 are the parameters, 10-19 the m moments and 20-29 the v ones
+    @pytest.mark.parametrize("record", [0, 5, 11, 20])
+    def test_truncated_tensor_record_names_the_file(self, tmp_path, record):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, build_checkpoint())
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        with open(path, "rb") as fh:
+            fh.seek(16 + n)
+            for _ in range(record):
+                checkpoint.read_tensor(fh)
+            start = fh.tell()
+        message = f"^{re.escape(str(path))}: truncated tensor record"
+        for cut in (start + 10, start + 40):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk"

@@ -15,6 +15,43 @@ def uniform_log_probs(alphabet_size, frames):
     return np.full((alphabet_size, frames), -np.log(alphabet_size))
 
 
+def reference_lattice(log_probs, target):
+    """The column-at-a-time alpha and beta loops that ctc_loss replaced, kept
+    as the reference for its row-at-a-time loops: (alpha, beta, log-likelihood)."""
+    aug = augment_target(target)
+    S, T = len(aug), log_probs.shape[1]
+    can_skip = np.zeros(S, dtype=bool)
+    if S >= 4:
+        can_skip[3::2] = aug[3::2] != aug[1:-2:2]
+    emit = log_probs[aug, :]
+    neg = -np.inf
+    alpha = np.full((S, T), neg)
+    alpha[0, 0] = emit[0, 0]
+    if S > 1:
+        alpha[1, 0] = emit[1, 0]
+    for t in range(1, T):
+        prev = alpha[:, t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        acc[2:] = np.logaddexp(acc[2:], np.where(can_skip[2:], prev[:-2], neg))
+        alpha[:, t] = acc + emit[:, t]
+    if S > 1:
+        log_likelihood = float(np.logaddexp(alpha[-1, -1], alpha[-2, -1]))
+    else:
+        log_likelihood = float(alpha[0, -1])
+    beta = np.full((S, T), neg)
+    beta[-1, -1] = 0.0
+    if S > 1:
+        beta[-2, -1] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = beta[:, t + 1] + emit[:, t + 1]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
+        acc[:-2] = np.logaddexp(acc[:-2], np.where(can_skip[2:], nxt[2:], neg))
+        beta[:, t] = acc
+    return alpha, beta, log_likelihood
+
+
 class TestCollapse:
     # all five worked sigma examples collapse to (a, b, c)
     @pytest.mark.parametrize("path", [
@@ -119,6 +156,26 @@ class TestCtcLoss:
                 assert abs(total - lattice.log_likelihood) <= 1e-9
             assert np.all(lattice.alpha <= 1e-12)
             assert np.all(lattice.beta <= 1e-12)
+
+
+    def test_lattice_matches_the_column_loops(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            A = int(rng.integers(2, 7))
+            target = list(rng.integers(1, A, size=rng.integers(0, 9)))
+            if len(target) > 1 and rng.random() < 0.3:
+                target[1::2] = [target[0]] * len(target[1::2])   # repeats: no skips
+            lp = log_softmax_frames(3 * rng.standard_normal((A, int(rng.integers(1, 60)))))
+            if rng.random() < 0.2:
+                lp[int(rng.integers(A))] = -np.inf                 # a symbol never emitted
+            loss, lattice = ctc_loss(lp, target)
+            if not lattice.feasible:
+                continue
+            alpha, beta, log_likelihood = reference_lattice(lp, target)
+            assert lattice.alpha.shape == lattice.beta.shape == alpha.shape
+            np.testing.assert_array_equal(lattice.alpha, alpha)
+            np.testing.assert_array_equal(lattice.beta, beta)
+            assert lattice.log_likelihood == log_likelihood and loss == -log_likelihood
 
 
 class TestOracleEquivalence:

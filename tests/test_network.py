@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from convctc import layers, optim
 from convctc.layers import log_softmax_frames
-from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network,
+from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, GradientSum, Network,
                              NetworkConfig, PoolSpec, figure3_config)
 from convctc.tensor import ShapeError
 from convctc.verify import (GRAD_TOL, central_diff, network_loss_and_grads, rel_error,
@@ -361,6 +363,52 @@ class TestBackward:
         assert all(t is b for t, b in zip(tapes, before))   # the rejected call consumed nothing
         with pytest.raises(ShapeError):                     # and a retry sees the same cause
             net.backward(tapes, np.zeros((4, 9)))
+
+
+class TestGradientSum:
+    ITEMS, STAGES = 24, 4
+    RELEASED = {0, 5, 6, 17}      # items that add nothing: skipped or failed
+
+    def _values(self):
+        # magnitudes from 1e-4 to 1e4, so that float32 sums depend on the order
+        rng = np.random.default_rng(18)
+        return [[(rng.standard_normal(256) * 10.0 ** rng.integers(-4, 5)).astype(np.float32)
+                 for _ in range(self.STAGES)] for _ in range(self.ITEMS)]
+
+    def _add(self, total, j, values):
+        if j not in self.RELEASED:
+            for stage in reversed(range(self.STAGES)):
+                with total.item(j).adding(stage) as grads:
+                    name = f"stage{stage}"
+                    if name in grads:
+                        grads[name] += values[j][stage]
+                    else:
+                        grads[name] = values[j][stage].copy()
+        total.release(j)
+
+    def test_many_threads_add_in_item_order(self):
+        values = self._values()
+        serial = GradientSum(self.STAGES)
+        for j in range(self.ITEMS):
+            self._add(serial, j, values)
+        threads_n = 6
+        total = GradientSum(self.STAGES)
+        threads = [threading.Thread(target=lambda t: [self._add(total, j, values) for j in
+                                                      range(t, self.ITEMS, threads_n)],
+                                    args=(t,), daemon=True) for t in range(threads_n)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(total.grads) == sorted(serial.grads)
+        for name, g in serial.grads.items():
+            assert total.grads[name].tobytes() == g.tobytes(), name
 
 
 def _arrays(obj):

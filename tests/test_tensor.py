@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 
 import numpy as np
@@ -78,6 +79,13 @@ class TestBinaryFormat:
         write_tensor(buf, np.ones(8))
         with pytest.raises(ValueError, match="truncated"):
             read_tensor(io.BytesIO(buf.getvalue()[:-4]))
+
+    def test_truncated_file_is_named(self, tmp_path):
+        path = tmp_path / "cut.tnsr"
+        save_tensor(path, np.ones((3, 5)))
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated tensor record"):
+            load_tensor(path)
 
     def test_int_dtype_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,17 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convctc.train
+from convctc import layers
 from convctc.checkpoint import load_checkpoint
 from convctc.ctc import Alphabet
 from convctc.data import (TaskSpec, Utterance, generate_synthetic, load_manifest,
@@ -66,6 +72,197 @@ class TestBatchGradients:
         batch = make_batches([poisoned], 1)[0]
         with pytest.raises(RuntimeError, match="utt-nan"):
             batch_gradients(net, params, batch, train=False, dtype=np.float64)
+
+
+def dropout_net(dtype=np.float32):
+    config = NetworkConfig(3, 6, 3, [ConvSpec(4, 3, 3), DropoutSpec(0.3), DenseSpec(6),
+                                     DropoutSpec(0.3)])
+    net = Network(config)
+    return net, init_uniform(net.param_specs(), np.random.default_rng(3), dtype=dtype)
+
+
+def mixed_batch(dtype=np.float32, nan=None):
+    """Six items of 2-14 frames; item 2 is too short for its target.  `nan`
+    maps an item index to the uid of a NaN-filled item put in its place."""
+    nan = nan or {}
+    rng = np.random.default_rng(4)
+    items = []
+    for i, (frames, target) in enumerate([(9, [1]), (14, [2, 1]), (2, [1, 1, 2]), (11, [2]),
+                                          (7, [1, 2]), (12, [1, 1])]):
+        x = rng.standard_normal((3, 6, frames)).astype(dtype)
+        if i in nan:
+            items.append(Utterance(nan[i], np.full_like(x, np.nan), target))
+        else:
+            items.append(Utterance(f"u{i}", x, target))
+    return make_batches(items, len(items))[0]
+
+
+@pytest.fixture
+def item_threads(monkeypatch):
+    """item_threads(on) lets batch_gradients run its items on two threads
+    (on=True) or not, whatever the cores and BLAS threads.  It returns the
+    names of the threads that ran ctc_loss, one per item that got that far."""
+    names = []
+    real = convctc.train.ctc_loss
+
+    def recording(*args):
+        names.append(threading.current_thread().name)
+        return real(*args)
+
+    monkeypatch.setattr(convctc.train, "ctc_loss", recording)
+
+    def force(on):
+        monkeypatch.setattr(layers, "_halves_run_together", lambda: on)
+        names.clear()
+        return names
+
+    return force
+
+
+def within(seconds, fn):
+    """fn() on a thread: {"result": ...} or {"error": ...}; fails if fn has
+    not returned after `seconds`, so that a batch whose items wait for each
+    other forever fails the test instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except BaseException as e:       # handed to the test
+            outcome["error"] = e
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return outcome
+
+
+class TestItemThreads:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_threads_give_the_serial_bits(self, item_threads, dtype):
+        net, params = dropout_net(dtype)
+        batch = mixed_batch(dtype)
+        results = {}
+        for on in (False, True):
+            names = item_threads(on)
+            grads, loss, counted, skipped = within(30, lambda: batch_gradients(
+                net, params, batch, rng=np.random.default_rng(5), dtype=dtype))["result"]
+            results[on] = ({k: g.tobytes() for k, g in grads.items()}, loss, counted, skipped)
+            assert ("convctc-items" in names) is on
+            assert len(names) == 6
+        assert results[True] == results[False]
+        assert results[True][2:] == (5, 1)
+        assert list(results[True][0]) == [name for name, _, _ in net.param_specs()]
+
+    def test_items_draw_their_generators_in_item_order(self, item_threads):
+        # the batch generator advances by one draw per item, whatever ran where
+        net, params = dropout_net()
+        for on in (False, True):
+            item_threads(on)
+            rng = np.random.default_rng(6)
+            within(30, lambda: batch_gradients(net, params, mixed_batch(), rng=rng))
+            expected = np.random.default_rng(6)
+            expected.integers(2**63, size=6)
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_a_gemm_that_would_split_keeps_the_items_on_one_thread(self, item_threads,
+                                                                     monkeypatch):
+        net, params = dropout_net()
+        batch = mixed_batch()
+        largest = net.largest_gemm(14)
+        for threshold, threaded in ((largest, False), (largest + 1, True)):
+            monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", threshold)
+            names = item_threads(True)
+            within(30, lambda: batch_gradients(net, params, batch, rng=np.random.default_rng(5)))
+            assert ("convctc-items" in names) is threaded
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_nan_item_on_the_worker_raises_its_uid(self, item_threads, on):
+        net, params = dropout_net()
+        item_threads(on)
+        outcome = within(30, lambda: batch_gradients(net, params, mixed_batch(nan={3: "utt-nan"}),
+                                                     rng=np.random.default_rng(5)))
+        assert isinstance(outcome.get("error"), RuntimeError)
+        assert "utt-nan" in str(outcome["error"])
+
+    def test_the_first_failing_item_is_raised(self, item_threads):
+        net, params = dropout_net()
+        item_threads(True)
+        batch = mixed_batch(nan={1: "first-nan", 4: "second-nan"})
+        outcome = within(30, lambda: batch_gradients(net, params, batch,
+                                                     rng=np.random.default_rng(5)))
+        assert "first-nan" in str(outcome["error"])
+
+    def test_infeasible_item_on_the_worker_is_skipped(self, item_threads):
+        net, params = dropout_net()
+        batch = mixed_batch()
+        batch.utterances[1], batch.utterances[2] = batch.utterances[2], batch.utterances[1]
+        item_threads(True)
+        outcome = within(30, lambda: batch_gradients(net, params, batch,
+                                                     rng=np.random.default_rng(5)))
+        assert outcome["result"][2:] == (5, 1)
+
+    def test_a_backward_that_raises_on_the_worker_releases_its_turns(self, item_threads,
+                                                                     monkeypatch):
+        # the worker's first item fails inside its backward, after the
+        # output stage has added: the items after it must not wait for it
+        net, params = dropout_net()
+        real = layers.conv2d_backward
+
+        def failing(*args):
+            if threading.current_thread().name == "convctc-items":
+                raise RuntimeError("conv backward failed")
+            return real(*args)
+
+        monkeypatch.setattr(layers, "conv2d_backward", failing)
+        item_threads(True)
+        outcome = within(30, lambda: batch_gradients(net, params, mixed_batch(),
+                                                     rng=np.random.default_rng(5)))
+        assert str(outcome.get("error")) == "conv backward failed"
+
+
+_CORES_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(",")})
+from convctc import layers
+from convctc.ctc import Alphabet
+from convctc.data import load_manifest
+from convctc.network import NetworkConfig
+from convctc.train import train
+task, config, out = sys.argv[2:5]
+alphabet = Alphabet.from_file(os.path.join(task, "alphabet.txt"))
+train(NetworkConfig.from_file(config), alphabet,
+      load_manifest(os.path.join(task, "train.tsv"), alphabet, "train"),
+      load_manifest(os.path.join(task, "dev.tsv"), alphabet, "dev"),
+      out, seed=2, epochs=2, batch_size=4, log_timing=False, quiet=True)
+print(layers._halves_run_together())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable cores")
+def test_one_core_and_two_give_the_same_run_bytes(small_task, tmp_path):
+    config = NetworkConfig(3, 8, 3, [ConvSpec(4, 3, 5), PoolSpec(2, 2), DropoutSpec(0.3),
+                                     DenseSpec(8), DropoutSpec(0.3)])
+    config.to_file(tmp_path / "net.json")
+    two = sorted(os.sched_getaffinity(0))[:2]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(layers.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    runs = {}
+    for cores in (two[:1], two):
+        out = tmp_path / f"cores{len(cores)}"
+        child = subprocess.run(
+            [sys.executable, "-c", _CORES_CHILD, ",".join(map(str, cores)),
+             str(small_task["dir"]), str(tmp_path / "net.json"), str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        runs[len(cores)] = (child.stdout.strip(), (out / "metrics.jsonl").read_bytes(),
+                            (out / "last.ckpt").read_bytes())
+    assert (runs[1][0], runs[2][0]) == ("False", "True")
+    assert runs[1][1:] == runs[2][1:]
 
 
 @pytest.fixture(scope="module")
