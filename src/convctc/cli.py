@@ -138,7 +138,7 @@ def _cmd_decode(args):
                          f"({ck.config.bands}, frames)")
     dtype = next(iter(ck.params.values())).dtype
     x = assemble_input(static, ck.stats, dtype=dtype)
-    log_probs, _ = net.forward(x, ck.params)
+    log_probs = net.infer(x, ck.params)
     print(" ".join(ck.alphabet.decode(best_path_decode(log_probs))))
     return 0
 

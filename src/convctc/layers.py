@@ -76,6 +76,7 @@ _BLAS_PINNED = _blas_threads(os.environ, _blas_thread_vars()) == 1
 _pool = None
 _pool_pid = None
 _pool_lock = threading.Lock()
+_whole = threading.local()      # .on: this thread runs one of run_items' two sides
 
 
 def _halves_run_together():
@@ -87,9 +88,11 @@ def _halves_run_together():
 
 
 def _parts(muladds, *arrays):
-    """How many row parts, 2 or 1, a GEMM of `muladds` multiply-adds over `arrays` runs in."""
+    """How many row parts, 2 or 1, a GEMM of `muladds` multiply-adds over
+    `arrays` runs in.  Always 1 inside run_items, whose two threads already
+    hold both cores."""
     split = (muladds >= SPLIT_MIN_MULADDS and len({a.dtype for a in arrays}) == 1
-             and _halves_run_together())
+             and not getattr(_whole, "on", False) and _halves_run_together())
     return 2 if split else 1
 
 
@@ -115,6 +118,34 @@ def _in_parts(task, parts):
     finally:
         if future is not None:
             future.result()
+
+
+def run_items(run, here, there):
+    """Run run(here) on the calling thread and run(there) on a fresh
+    "convctc-items" thread, and return when both are done; an exception in
+    either re-raises here, the calling thread's first.  No GEMM on either
+    thread splits meanwhile: the two sides already hold both cores, and a
+    split on the worker would also wait on the split's own executor."""
+    failed = []
+
+    def worker():
+        _whole.on = True
+        try:
+            run(there)
+        except BaseException as e:       # re-raised below
+            failed.append(e)
+
+    thread = threading.Thread(target=worker, name="convctc-items", daemon=True)
+    outer = getattr(_whole, "on", False)
+    _whole.on = True
+    thread.start()
+    try:
+        run(here)
+    finally:
+        thread.join()
+        _whole.on = outer
+    if failed:
+        raise failed[0]
 
 
 def _rows(n, i, parts):
@@ -339,9 +370,9 @@ def maxout2_backward(tape, grad_out):
 
 @dataclass
 class PoolTape:
-    x: np.ndarray             # the forward input itself, not a copy
-    out: np.ndarray           # the pooled maxima the forward returned
-    pool: int
+    beat: np.ndarray          # [pool - 1, *out_shape] bool: band j + 1 beat the running maximum
+    in_shape: tuple
+    out_shape: tuple
     step: int
 
 
@@ -358,7 +389,10 @@ def maxpool_freq(x, pool, step):
     band count is floor((b - pool) / step) + 1.  Windows may overlap
     (pool > step) or leave gaps (pool < step).  When a window holds several
     equal maxima, the backward pass routes its gradient to the first
-    (lowest) of those bands, as argmax would.
+    (lowest) of those bands, as argmax would.  A NaN in a window reaches
+    the output, and the backward routes that window's gradient to one band.
+    The tape keeps one bool per output value and band after the first:
+    whether that band was greater than the maximum of the bands before it.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -369,24 +403,32 @@ def maxpool_freq(x, pool, step):
         raise ShapeError(f"pool size {pool} exceeds band count {x.shape[1]}")
     span = _window_span(x.shape[1], pool, step)
     out = x[:, :span:step].copy()
+    beat = np.empty((pool - 1,) + out.shape, dtype=bool)
     for j in range(1, pool):
-        np.maximum(out, x[:, j:j + span:step], out=out)
-    return out, PoolTape(x, out, pool, step)
+        band = x[:, j:j + span:step]
+        np.greater(band, out, out=beat[j - 1])
+        np.maximum(out, band, out=out)
+    return out, PoolTape(beat, x.shape, out.shape, step)
 
 
 def maxpool_freq_backward(tape, grad_out):
     grad_out = np.asarray(grad_out)
-    if grad_out.shape != tape.out.shape:
+    if grad_out.shape != tape.out_shape:
         raise ShapeError(f"pool grad shape {grad_out.shape} does not match forward output "
-                         f"{tape.out.shape}")
-    x, step = tape.x, tape.step
-    span = _window_span(x.shape[1], tape.pool, step)
-    grad_x = np.zeros(x.shape, dtype=grad_out.dtype)
-    unclaimed = np.ones(grad_out.shape, dtype=bool)     # windows whose winner is not yet found
-    for j in range(tape.pool):
-        wins = unclaimed & (x[:, j:j + span:step] == tape.out)
-        grad_x[:, j:j + span:step] += grad_out * wins
-        unclaimed &= ~wins
+                         f"{tape.out_shape}")
+    pool, step = len(tape.beat) + 1, tape.step
+    span = _window_span(tape.in_shape[1], pool, step)
+    # a window's first maximum is the last band that beat the bands before
+    # it, or band 0 when none did
+    wins = [None] * pool
+    unclaimed = np.ones(grad_out.shape, dtype=bool)
+    for j in range(pool - 1, 0, -1):
+        wins[j] = unclaimed & tape.beat[j - 1]
+        unclaimed &= ~wins[j]
+    wins[0] = unclaimed
+    grad_x = np.zeros(tape.in_shape, dtype=grad_out.dtype)
+    for j in range(pool):
+        grad_x[:, j:j + span:step] += grad_out * wins[j]
     return grad_x
 
 

@@ -383,19 +383,29 @@ class Network:
 
     def forward(self, x, params, train=False, rng=None):
         """Run the stack on [channels x bands x f]; returns (log_probs [A x f], tapes)."""
+        tapes = []
+        return self._run(x, params, train, rng, tapes.append), tapes
+
+    def infer(self, x, params):
+        """The inference log-probs [A x f] of `x`, keeping no tape: each
+        stage's intermediates are freed as soon as the next stage starts."""
+        return self._run(x, params, False, None, lambda tape: None)
+
+    def _run(self, x, params, train, rng, keep):
+        """The stack's output for `x`; each stage's tape goes to keep(tape)."""
         x = np.asarray(x)
         if x.ndim != 3 or x.shape[:2] != (self.config.channels, self.config.bands):
             raise ShapeError(f"input shape {x.shape} does not match configured geometry "
                              f"({self.config.channels}, {self.config.bands}, f)")
-        tapes = []
         h = x
         for i, (name, stage) in enumerate(self.stack):
             try:
                 h, tape = stage.forward(h, self._stage_params(name, stage, params), train, rng)
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({name}): {e}") from e
-            tapes.append(tape)
-        return h, tapes
+            keep(tape)
+            del tape            # not held through the next stage
+        return h
 
     def backward(self, tapes, grad_log_probs, into=None):
         """Chain the stack's backward passes; returns grads for every parameter.

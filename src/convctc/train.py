@@ -17,7 +17,6 @@ uninterrupted one.
 import json
 import os
 import sys
-import threading
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass
@@ -74,14 +73,15 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
     one raises with the utterance id.  Each item runs with its own generator,
     seeded from `rng` in item order.
 
-    The items run on two threads, the even ones here and the odd ones on a
-    worker, when two cores are free for them (layers._halves_run_together)
-    and no GEMM of the longest item is large enough to split; otherwise they
-    run here in order.  Either way every item's backward adds into one
-    gradient set, a stage at a time in item order (network.GradientSum), so
-    the bits are those of the serial sum, and frees the item's tapes as it
-    goes.  A failing item stops the items after it, and the batch raises the
-    first item's error once both threads are done.
+    The items run on two threads (layers.run_items), the even ones here and
+    the odd ones on a worker, when two cores are free for them
+    (layers._halves_run_together) and no GEMM of the longest item is large
+    enough to split; otherwise they run here in order.  Either way every
+    item's backward adds into one gradient set, a stage at a time in item
+    order (network.GradientSum), so the bits are those of the serial sum,
+    and frees the item's tapes as it goes.  A failing item stops the items
+    after it, and the batch raises the first item's error once both threads
+    are done.
     """
     items = batch.utterances
     seeds = [None] * len(items) if rng is None else rng.integers(2**63, size=len(items))
@@ -115,11 +115,7 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
 
     if len(items) > 1 and layers._halves_run_together() and (
             net.largest_gemm(max(u.features.shape[-1] for u in items)) < layers.SPLIT_MIN_MULADDS):
-        worker = threading.Thread(target=run, args=(range(1, len(items), 2),),
-                                  name="convctc-items", daemon=True)
-        worker.start()
-        run(range(0, len(items), 2))
-        worker.join()
+        layers.run_items(run, range(0, len(items), 2), range(1, len(items), 2))
     else:
         run(range(len(items)))
     error = next((e for e in errors if e is not None), None)

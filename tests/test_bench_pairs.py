@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +53,42 @@ class TestSummarize:
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("401-404") == [401, 402, 403, 404]
     assert bench_pairs.parse_seeds("7,9") == [7, 9]
+
+
+def test_command_of_a_traced_run():
+    assert bench_pairs.command("decode-long", 411, 30, 1) == [
+        sys.executable, "perfbench/run.py", "--workload", "decode-long", "--seed", "411",
+        "--seconds", "30", "--trace", "1"]
+
+
+def test_trace_seed_adds_one_traced_run_per_workload_and_side(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 5, "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "REPO", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "revision", lambda ref: {"commit": ref, "tree": ref})
+    monkeypatch.setattr(bench_pairs, "unpack", lambda tree, dest: os.makedirs(dest))
+    commands = []
+
+    def perfbench(argv, cwd, **kwargs):
+        commands.append((os.path.basename(cwd), argv))
+        result = {"correct": True, "attempted": 2, "failed": 0,
+                  "metrics": {"frames_per_s": {"value": 10.0}}}
+        return subprocess.CompletedProcess(
+            argv, 0, stdout=json.dumps({"env": {"cores": 2}}) + "\n" + json.dumps(result) + "\n",
+            stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", perfbench)
+    assert bench_pairs.main(["--parent", "P", "--change", "C", "--label", "t",
+                             "--seeds", "1-2", "--trace-seed", "9"]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    traced = [(side, argv) for side, argv in commands if argv[-2:] == ["--trace", "1"]]
+    assert sorted((side, argv[3]) for side, argv in traced) == [
+        ("change", "v"), ("change", "w"), ("parent", "v"), ("parent", "w")]
+    assert all(argv == bench_pairs.command(argv[3], 9, 5, 1) for _, argv in traced)
+    assert len(commands) == 8 + 4
+    assert [(r["workload"], r["side"], r["seed"]) for r in doc["trace_runs"]] == [
+        ("w", "parent", 9), ("w", "change", 9), ("v", "parent", 9), ("v", "change", 9)]
+    assert set(doc["trace_runs"][0]) == set(doc["runs"][0])
+    assert doc["trace_runs"][1]["commit"] == "C" and doc["trace_runs"][0]["correct"] is True
+    assert len(doc["runs"]) == 8
+    assert doc["summary"]["w"]["frames_per_s"]["pairs"] == 2

@@ -1,13 +1,16 @@
-import weakref
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from convctc import layers
 from convctc.ctc import Alphabet
 from convctc.data import Utterance
 from convctc.evaluate import EditCounts, evaluate, levenshtein, load_mapping
 from convctc.network import ConvSpec, DenseSpec, Network, NetworkConfig
 from convctc.optim import init_uniform
+from test_train import within
 
 
 class TestLevenshtein:
@@ -149,25 +152,18 @@ class TestEvaluate:
         report = evaluate(net, params, items, alphabet, mapping)
         assert report.label_error_rate == 0.0
 
-    def test_tapes_are_released_before_the_next_forward(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        net = Network(NetworkConfig(3, 5, 3, [ConvSpec(2, 3, 3)]))
-        params = init_uniform(net.param_specs(), rng)
-        items = [Utterance(f"u{i}", rng.standard_normal((3, 5, 6)).astype(np.float32), [1])
-                 for i in range(3)]
-        real_forward = Network.forward
-        previous = []            # a weakref to the last call's padded conv input
-        alive_at_start = []
+    def test_evaluate_never_calls_network_forward(self, monkeypatch):
+        # Network.forward keeps tapes; evaluate decodes through Network.infer
+        net, params = conv_net()
 
-        def forward(self, *args, **kwargs):
-            alive_at_start.extend(ref() is not None for ref in previous)
-            out = real_forward(self, *args, **kwargs)
-            previous[:] = [weakref.ref(out[1][0][0].padded)]
-            return out
+        def forward(*args, **kwargs):
+            raise AssertionError("evaluate called Network.forward")
 
         monkeypatch.setattr(Network, "forward", forward)
-        evaluate(net, params, items, Alphabet(["<blank>", "a", "b"]))
-        assert alive_at_start == [False, False]
+        for on in (False, True):
+            monkeypatch.setattr(layers, "_halves_run_together", lambda: on)
+            report = evaluate(net, params, unsorted_items(), ALPHABET)
+            assert len(report.per_utterance) == len(FRAMES)
 
     def test_report_json_fields(self):
         alphabet = Alphabet(["<blank>", "a"])
@@ -202,3 +198,161 @@ class TestEvaluate:
         assert permuted.label_error_rate == base.label_error_rate
         assert permuted.counts == base.counts
         assert permuted.decodes == base.decodes
+
+
+ALPHABET = Alphabet(["<blank>", "a", "b"])
+FRAMES = [9, 4, 15, 6, 12, 5, 8]        # not sorted: the longest and shortest are inside
+
+
+def conv_net():
+    net = Network(NetworkConfig(3, 5, 3, [ConvSpec(2, 3, 3), DenseSpec(4)]))
+    return net, init_uniform(net.param_specs(), np.random.default_rng(3))
+
+
+def unsorted_items():
+    rng = np.random.default_rng(4)
+    return [Utterance(f"u{i}", rng.standard_normal((3, 5, f)).astype(np.float32),
+                      list(rng.integers(1, 3, size=2)))
+            for i, f in enumerate(FRAMES)]
+
+
+@pytest.fixture
+def eval_threads(monkeypatch):
+    """eval_threads(on) lets evaluate run on two threads (on=True) or not,
+    whatever the cores and BLAS threads.  It returns the (thread name,
+    frames) of every Network.infer call, in call order."""
+    calls = []
+    real = Network.infer
+
+    def recording(self, x, params):
+        calls.append((threading.current_thread().name, x.shape[-1]))
+        return real(self, x, params)
+
+    monkeypatch.setattr(Network, "infer", recording)
+
+    def force(on):
+        monkeypatch.setattr(layers, "_halves_run_together", lambda: on)
+        calls.clear()
+        return calls
+
+    return force
+
+
+class TestEvaluateThreads:
+    def test_two_threads_give_the_serial_report(self, eval_threads):
+        net, params = conv_net()
+        items = unsorted_items()
+        reports = {}
+        for on in (False, True):
+            calls = eval_threads(on)
+            reports[on] = within(30, lambda: evaluate(net, params, items, ALPHABET))["result"]
+            threads = {name for name, _ in calls}
+            assert ("convctc-items" in threads) is on
+            assert sorted(f for _, f in calls) == sorted(FRAMES)
+        assert reports[True].to_json() == reports[False].to_json()
+        assert reports[True].decodes == reports[False].decodes
+        assert [u["id"] for u in reports[True].per_utterance] == [u.uid for u in items]
+
+    def test_the_caller_takes_the_longest_and_the_worker_the_shortest(self, eval_threads,
+                                                                       monkeypatch):
+        net, params = conv_net()
+        calls = eval_threads(True)
+        # each thread's first utterance waits for the other's, so both take one
+        both_started = threading.Barrier(2, timeout=10)
+        recording = Network.infer
+
+        def infer(self, x, params):
+            if threading.current_thread().name not in {name for name, _ in calls}:
+                both_started.wait()
+            return recording(self, x, params)
+
+        monkeypatch.setattr(Network, "infer", infer)
+        within(30, lambda: evaluate(net, params, unsorted_items(), ALPHABET))
+        caller = [f for name, f in calls if name != "convctc-items"]
+        worker = [f for name, f in calls if name == "convctc-items"]
+        assert caller[0] == max(FRAMES) and caller == sorted(caller, reverse=True)
+        assert worker[0] == min(FRAMES) and worker == sorted(worker)
+        assert sorted(caller + worker) == sorted(FRAMES)
+
+    def test_one_utterance_runs_here(self, eval_threads):
+        net, params = conv_net()
+        calls = eval_threads(True)
+        evaluate(net, params, unsorted_items()[:1], ALPHABET)
+        assert [name for name, _ in calls] == [threading.current_thread().name]
+
+    @pytest.mark.parametrize("on", [False, True])
+    @pytest.mark.parametrize("bad", [{1}, {2}, {1, 2}, {0, 1, 2, 6}],
+                             ids=["shortest", "longest", "both", "many"])
+    def test_the_first_failing_utterance_in_dataset_order_is_raised(self, eval_threads,
+                                                                    monkeypatch, on, bad):
+        # dataset index 1 is the shortest utterance and 2 the longest, so
+        # with two threads the worker meets one and the caller the other
+        net, params = conv_net()
+        failing = {FRAMES[i] for i in bad}
+        calls = eval_threads(on)
+        recording = Network.infer
+
+        def infer(self, x, params):
+            out = recording(self, x, params)
+            if x.shape[-1] in failing:
+                raise RuntimeError(f"failed at {x.shape[-1]} frames")
+            return out
+
+        monkeypatch.setattr(Network, "infer", infer)
+        outcome = within(30, lambda: evaluate(net, params, unsorted_items(), ALPHABET))
+        assert str(outcome.get("error")) == f"failed at {FRAMES[min(bad)]} frames"
+        assert ("convctc-items" in {name for name, _ in calls}) is on
+        if not on:
+            # longest first, and after a failure only utterances before it in dataset order
+            expected, first = [], len(FRAMES)
+            for i in sorted(range(len(FRAMES)), key=FRAMES.__getitem__, reverse=True):
+                if i < first:
+                    expected.append(FRAMES[i])
+                    first = min(first, i) if i in bad else first
+            assert [f for _, f in calls] == expected
+
+    def test_concurrent_evaluations_decode_each_utterance_once(self, eval_threads):
+        # three evaluations at once: six threads taking from three queues
+        net, params = conv_net()
+        rng = np.random.default_rng(5)
+        items = [Utterance(f"u{i}", rng.standard_normal((3, 5, int(f))).astype(np.float32), [1])
+                 for i, f in enumerate(rng.integers(3, 30, size=40))]
+        eval_threads(False)
+        serial = evaluate(net, params, items, ALPHABET).to_json()
+        calls = eval_threads(True)
+        reports, threads = {}, []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(3):
+                def work(k=k):
+                    reports[k] = evaluate(net, params, items, ALPHABET).to_json()
+                threads.append(threading.Thread(target=work))
+                threads[-1].start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == {k: serial for k in range(3)}
+        assert sorted(f for _, f in calls) == sorted(3 * [u.features.shape[-1] for u in items])
+
+    def test_no_gemm_splits_inside_the_threads(self, eval_threads, monkeypatch):
+        dispatches = []
+        real = layers._in_parts
+
+        def counting(task, parts):
+            if parts == 2:
+                dispatches.append(threading.current_thread().name)
+            real(task, parts)
+
+        monkeypatch.setattr(layers, "_in_parts", counting)
+        monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", 0)
+        net, params = conv_net()
+        items = unsorted_items()
+        calls = eval_threads(True)
+        within(30, lambda: evaluate(net, params, items, ALPHABET))
+        assert "convctc-items" in {name for name, _ in calls}
+        assert dispatches == []
+        net.infer(items[0].features, params)       # outside evaluate the same GEMMs split
+        assert dispatches

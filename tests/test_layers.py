@@ -442,6 +442,14 @@ class TestMaxpoolFreq:
         tol = 4 * np.finfo(dtype).eps * max(1.0, float(np.abs(grad).max())) * pool
         np.testing.assert_allclose(gx, ref, rtol=0, atol=tol)
 
+    @pytest.mark.parametrize("pool, step", [(1, 1), (2, 2), (3, 3), (3, 2), (4, 1), (2, 5)])
+    def test_tape_keeps_pool_minus_one_bytes_per_output_value(self, pool, step):
+        x = np.random.default_rng(23).standard_normal((4, 13, 50)).astype(np.float32)
+        out, tape = layers.maxpool_freq(x, pool, step)
+        arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) <= (pool - 1) * out.size
+        assert not any(np.shares_memory(a, x) or np.shares_memory(a, out) for a in arrays)
+
     def test_backward_overlapping_windows_match_central_differences(self):
         rng = np.random.default_rng(19)
         # distinct values 0.1 apart: no ties, and no finite-difference step
@@ -718,6 +726,44 @@ class TestGemmSplit:
         first.shutdown()
         assert second is not first
         assert second.submit(lambda: 7).result(timeout=10) == 7
+
+
+class TestRunItems:
+    def test_sides_run_here_and_on_a_worker_with_whole_gemms(self, force_split, monkeypatch):
+        force_split(True)
+
+        def no_pool():
+            raise AssertionError("run_items used the split's executor")
+
+        monkeypatch.setattr(layers, "_executor", no_pool)
+        big = np.ones(1, np.float32)
+        assert layers._parts(layers.SPLIT_MIN_MULADDS, big) == 2
+        seen = {}
+
+        def run(side):
+            seen[side] = (threading.current_thread().name,
+                          layers._parts(layers.SPLIT_MIN_MULADDS, big))
+
+        layers.run_items(run, "here", "there")
+        assert seen == {"here": (threading.current_thread().name, 1),
+                        "there": ("convctc-items", 1)}
+        assert layers._parts(layers.SPLIT_MIN_MULADDS, big) == 2      # restored
+
+    @pytest.mark.parametrize("failing, raised", [({"there"}, "there"), ({"here"}, "here"),
+                                                 ({"here", "there"}, "here")])
+    def test_an_error_on_either_side_reraises_after_both_end(self, failing, raised):
+        finished = []
+
+        def run(side):
+            if side in failing:
+                raise RuntimeError(side)
+            time.sleep(0.05)
+            finished.append(side)
+
+        with pytest.raises(RuntimeError, match=f"^{raised}$"):
+            layers.run_items(run, "here", "there")
+        assert finished == sorted({"here", "there"} - failing)
+        assert not getattr(layers._whole, "on", False)
 
 
 class TestDropout:

@@ -1,6 +1,8 @@
 import dataclasses
+import os
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +15,10 @@ from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, GradientSum, Netw
 from convctc.tensor import ShapeError
 from convctc.verify import (GRAD_TOL, central_diff, network_loss_and_grads, rel_error,
                             toy_network)
+
+
+REDUCED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs", "synthetic-reduced.json")
 
 
 def small_net(alphabet_size=4):
@@ -235,6 +241,61 @@ class TestForward:
         params = optim.init_uniform(net.param_specs(), rng, dtype=np.float64)
         out, _ = net.forward(rng.standard_normal((2, 7, 9)), params)
         np.testing.assert_allclose(np.exp(out).sum(axis=0), 1.0, atol=1e-12)
+
+
+def traced(fn):
+    """(fn(), peak bytes above the start, bytes still held above the start) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, held - start
+
+
+class TestInfer:
+    @pytest.mark.parametrize("dtype, split", [(np.float32, False), (np.float32, True),
+                                              (np.float64, False)])
+    def test_infer_gives_the_bytes_of_forward(self, monkeypatch, dtype, split):
+        net = Network(NetworkConfig.from_file(REDUCED))
+        rng = np.random.default_rng(20)
+        params = optim.init_uniform(net.param_specs(), rng, dtype=dtype)
+        x = rng.standard_normal((3, 41, 37)).astype(dtype)
+        dispatches = []
+        real = layers._in_parts
+
+        def counting(task, parts):
+            dispatches.append(parts)
+            real(task, parts)
+
+        monkeypatch.setattr(layers, "_in_parts", counting)
+        monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", 0)
+        monkeypatch.setattr(layers, "_halves_run_together", lambda: split)
+        out = net.infer(x, params)
+        assert (2 in dispatches) is split
+        assert out.dtype == dtype
+        assert out.tobytes() == net.forward(x, params)[0].tobytes()
+
+    def test_infer_peaks_lower_and_holds_only_its_output(self, monkeypatch):
+        monkeypatch.setattr(layers, "_halves_run_together", lambda: False)
+        net = Network(NetworkConfig.from_file(REDUCED))
+        rng = np.random.default_rng(21)
+        params = optim.init_uniform(net.param_specs(), rng)
+        x = rng.standard_normal((3, 41, 200)).astype(np.float32)
+        out, infer_peak, infer_held = traced(lambda: net.infer(x, params))
+        (_, tapes), forward_peak, forward_held = traced(lambda: net.forward(x, params))
+        assert infer_held <= out.nbytes + 16384            # a few small Python objects
+        assert forward_held > 100 * out.nbytes             # the tapes
+        assert infer_peak < 0.9 * forward_peak
+
+    def test_infer_rejects_a_geometry_mismatch(self):
+        net = small_net()
+        params = optim.init_uniform(net.param_specs(), np.random.default_rng(22))
+        with pytest.raises(ShapeError, match="geometry"):
+            net.infer(np.zeros((2, 8, 5)), params)
 
 
 class TestBackward:

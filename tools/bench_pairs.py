@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent HEAD --label my_change --seeds 401-410
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label my_change \
-        --seeds 401-410
+        --seeds 401-410 --trace-seed 411
 
 Each side is a `git archive` of its commit, or of the working tree with its
 untracked files (`--change` left out), unpacked into a fresh directory
@@ -15,7 +15,9 @@ its seed, environment line and commit, goes to `BENCH_<label>.json` at the
 repository root, rewritten after each run, together with a summary: for
 each workload and end-to-end metric of `BENCHMARK.json`, each side's median
 and quartiles, the number of pairs, the pairs the change won and the
-parent's interquartile range.
+parent's interquartile range.  With `--trace-seed S`, each side then makes
+one `--trace 1` run of every workload with seed S, kept under `trace_runs`
+in the same record layout and left out of the summary.
 
 Uses the standard library only.
 """
@@ -117,15 +119,33 @@ def unpack(tree, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_one(checkout, workload, seed, seconds):
-    """One `--trace 0` run: (exit code, environment line, result line, stderr tail)."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True)
+def command(workload, seed, seconds, trace):
+    """The perfbench command line of one run, to be run in a checkout."""
+    return [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
+def run_one(checkout, workload, seed, seconds, trace=0):
+    """One run: (exit code, environment line, result line, stderr tail)."""
+    proc = subprocess.run(command(workload, seed, seconds, trace), cwd=checkout,
+                          capture_output=True, text=True)
     lines = [json.loads(l) for l in proc.stdout.splitlines() if l.startswith("{")]
     env = next((l for l in lines if "env" in l), None)
     result = lines[-1] if lines and "metrics" in lines[-1] else None
     return proc.returncode, env, result, proc.stderr[-2000:]
+
+
+def record(workload, seed, side, first, commit, outcome):
+    """The record of one run, from run_one's `outcome`."""
+    code, env, result, err = outcome
+    rec = {"workload": workload, "seed": seed, "side": side, "first": first, "commit": commit,
+           "exit": code, "env": env and env["env"]}
+    if result is not None:
+        rec.update({k: result[k] for k in ("correct", "attempted", "failed")})
+        rec["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    if code != 0:
+        rec["stderr_tail"] = err
+    return rec
 
 
 def main(argv=None):
@@ -134,11 +154,14 @@ def main(argv=None):
     ap.add_argument("--change", help="changed commit (default: the working tree)")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--seeds", required=True, help='"401-410" or "401,403,..."')
+    ap.add_argument("--trace-seed", type=int,
+                    help="also make one --trace 1 run per workload and side with this seed")
     args = ap.parse_args(argv)
 
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     sides = {"parent": revision(args.parent), "change": revision(args.change)}
     out_path = os.path.join(REPO, f"BENCH_{args.label}.json")
     doc = {"label": args.label,
@@ -147,6 +170,17 @@ def main(argv=None):
            "order": "alternating: the parent runs first for even-indexed seeds, the change "
                     "for odd ones; each workload's pair runs back to back",
            "parent": sides["parent"], "change": sides["change"], "runs": [], "summary": {}}
+    if args.trace_seed is not None:
+        doc["trace_runs"] = []
+
+    def save(runs, rec):
+        runs.append(rec)
+        doc["summary"] = summarize(doc["runs"], metrics)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(f"{rec['workload']} seed {rec['seed']} {rec['side']}: exit {rec['exit']}",
+              file=sys.stderr)
 
     work = tempfile.mkdtemp(prefix="bench_pairs-")
     try:
@@ -154,25 +188,19 @@ def main(argv=None):
         for side, info in sides.items():
             checkouts[side] = os.path.join(work, side)
             unpack(info["tree"], checkouts[side])
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in workloads:
             for i, seed in enumerate(parse_seeds(args.seeds)):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    code, env, result, err = run_one(checkouts[side], workload, seed, seconds)
-                    record = {"workload": workload, "seed": seed, "side": side,
-                              "first": order[0], "commit": sides[side]["commit"],
-                              "exit": code, "env": env and env["env"]}
-                    if result is not None:
-                        record.update({k: result[k] for k in ("correct", "attempted", "failed")})
-                        record["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
-                    if code != 0:
-                        record["stderr_tail"] = err
-                    doc["runs"].append(record)
-                    doc["summary"] = summarize(doc["runs"], metrics)
-                    with open(out_path, "w", encoding="utf-8") as fh:
-                        json.dump(doc, fh, indent=1)
-                        fh.write("\n")
-                    print(f"{workload} seed {seed} {side}: exit {code}", file=sys.stderr)
+                    outcome = run_one(checkouts[side], workload, seed, seconds)
+                    save(doc["runs"], record(workload, seed, side, order[0],
+                                             sides[side]["commit"], outcome))
+        if args.trace_seed is not None:
+            for workload in workloads:
+                for side in sides:
+                    outcome = run_one(checkouts[side], workload, args.trace_seed, seconds, trace=1)
+                    save(doc["trace_runs"], record(workload, args.trace_seed, side, "parent",
+                                                   sides[side]["commit"], outcome))
     finally:
         shutil.rmtree(work)
     return 0
