@@ -6,7 +6,6 @@ phone fold); the map is applied to hypothesis and reference alike before
 the distance is computed.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 from . import layers
@@ -101,59 +100,26 @@ class EvalReport:
 def evaluate(net, params, dataset, alphabet, mapping=None):
     """Best-path decode every utterance and score against its reference.
 
-    The utterances run through Network.infer, which keeps no tapes.  When
-    there are two of them or more and two cores are free
-    (layers._halves_run_together), they run on two threads
-    (layers.run_items): this one takes the longest utterance left and the
-    worker the shortest, until they meet; the worker's malloc arena keeps
-    its own high-water mark, so it gets the short ones.  The report is in dataset order
+    The utterances run through Network.infer, which keeps no tapes, and
+    through layers.run_items: this thread takes them longest first and, when
+    two cores are free for it, a worker takes them shortest first, so that
+    the worker's malloc arena, which keeps its own high-water mark, stays as
+    small as the shortest forwards need.  The report is in dataset order
     either way.  A failing utterance stops every utterance after it in
-    dataset order, and the first one's error is raised once both threads
-    are done.
+    dataset order, and the first one's error is raised.
     """
-    order = sorted(range(len(dataset)), key=lambda i: dataset[i].features.shape[-1])
-    scored = [None] * len(dataset)
-    errors = [None] * len(dataset)
-    shortest, longest = 0, len(order)    # order[shortest:longest] is not taken yet
-    first_error = len(dataset)           # the dataset index of the first failure so far
-    lock = threading.Lock()
+    def one(i):
+        utt = dataset[i]
+        hyp = alphabet.decode(best_path_decode(net.infer(utt.features, params)))
+        ref = alphabet.decode(utt.target)
+        if mapping:
+            hyp = [mapping.get(s, s) for s in hyp]
+            ref = [mapping.get(s, s) for s in ref]
+        return hyp, ref, levenshtein(ref, hyp)
 
-    def take(from_longest):
-        nonlocal shortest, longest
-        with lock:
-            while shortest < longest:
-                if from_longest:
-                    longest -= 1
-                    i = order[longest]
-                else:
-                    i = order[shortest]
-                    shortest += 1
-                if i < first_error:
-                    return i
-        return None
-
-    def run(from_longest):
-        nonlocal first_error
-        while (i := take(from_longest)) is not None:
-            utt = dataset[i]
-            try:
-                hyp = alphabet.decode(best_path_decode(net.infer(utt.features, params)))
-                ref = alphabet.decode(utt.target)
-                if mapping:
-                    hyp = [mapping.get(s, s) for s in hyp]
-                    ref = [mapping.get(s, s) for s in ref]
-                scored[i] = hyp, ref, levenshtein(ref, hyp)
-            except BaseException as e:       # re-raised below, in dataset order
-                errors[i] = e
-                with lock:
-                    first_error = min(first_error, i)
-
-    if len(dataset) > 1 and layers._halves_run_together():
-        layers.run_items(run, True, False)
-    else:
-        run(True)
-    if first_error < len(dataset):
-        raise errors[first_error]
+    longest_first = sorted(range(len(dataset)), key=lambda i: dataset[i].features.shape[-1],
+                           reverse=True)
+    scored = layers.run_items(one, longest_first, longest_first[::-1])
 
     report = EvalReport()
     for utt, (hyp, ref, counts) in zip(dataset, scored):

@@ -76,7 +76,7 @@ _BLAS_PINNED = _blas_threads(os.environ, _blas_thread_vars()) == 1
 _pool = None
 _pool_pid = None
 _pool_lock = threading.Lock()
-_whole = threading.local()      # .on: this thread runs one of run_items' two sides
+_whole = threading.local()      # .on: this thread is one of run_items' two threads
 
 
 def _halves_run_together():
@@ -120,32 +120,55 @@ def _in_parts(task, parts):
             future.result()
 
 
-def run_items(run, here, there):
-    """Run run(here) on the calling thread and run(there) on a fresh
-    "convctc-items" thread, and return when both are done; an exception in
-    either re-raises here, the calling thread's first.  No GEMM on either
-    thread splits meanwhile: the two sides already hold both cores, and a
-    split on the worker would also wait on the split's own executor."""
-    failed = []
+def run_items(work, here, there=None):
+    """Return [work(i) for i in range(n)], where `here` orders those n indices.
+
+    The calling thread takes the indices in the order of `here`.  When
+    `there`, the same indices in another order, is given, there are at
+    least two of them and two cores are free (_halves_run_together), a fresh
+    "convctc-items" thread takes them in the order of `there` meanwhile, and
+    each thread skips what the other has taken; no GEMM on either thread
+    splits then, since the two threads already hold both cores and a split
+    on the worker would wait on the split's own executor.  Once work(i)
+    raises, no index above i is started, and when both threads are done the
+    error of the lowest failing index is raised.
+    """
+    results = [None] * len(here)
+    errors = {}
+    taken = set()
+    lock = threading.Lock()
+
+    def walk(order):
+        for i in order:
+            with lock:
+                if i in taken or any(f < i for f in errors):
+                    continue
+                taken.add(i)
+            try:
+                results[i] = work(i)
+            except BaseException as e:       # raised below, the lowest index's
+                with lock:
+                    errors[i] = e
 
     def worker():
         _whole.on = True
-        try:
-            run(there)
-        except BaseException as e:       # re-raised below
-            failed.append(e)
+        walk(there)
 
-    thread = threading.Thread(target=worker, name="convctc-items", daemon=True)
-    outer = getattr(_whole, "on", False)
-    _whole.on = True
-    thread.start()
-    try:
-        run(here)
-    finally:
-        thread.join()
-        _whole.on = outer
-    if failed:
-        raise failed[0]
+    if there is not None and len(here) >= 2 and _halves_run_together():
+        thread = threading.Thread(target=worker, name="convctc-items", daemon=True)
+        outer = getattr(_whole, "on", False)
+        _whole.on = True
+        thread.start()
+        try:
+            walk(here)
+        finally:
+            thread.join()
+            _whole.on = outer
+    else:
+        walk(here)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _rows(n, i, parts):

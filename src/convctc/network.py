@@ -414,18 +414,17 @@ class Network:
         backward has returned, so a stage's intermediates are freed before
         the stage below it runs, and a consumed list raises ValueError.  A
         stage that raises leaves its own tape, and those below it, in place.
-        With `into`, each stage's gradients are added in place into the
-        arrays of that gradient set as soon as the stage is done (a name not
-        yet in it takes this pass's array), and its arrays are returned.
-        `into` is a dict, such as an earlier backward returned, or one item's
-        share of a GradientSum, whose turns order the adds of several items.
+        With `into`, one item's share of a GradientSum, each stage's
+        gradients are added in place into that sum's arrays as soon as the
+        stage is done, in the item's turn (a name not yet in it takes this
+        pass's array), and the sum's arrays are returned.
         """
         if len(tapes) != len(self.stack):
             raise ValueError(f"got {len(tapes)} tapes for {len(self.stack)} stages")
         if any(tape is None for tape in tapes):
             raise ValueError("these tapes were already consumed by a backward pass")
-        if not isinstance(into, ItemGradients):
-            into = GradientSum(len(self.stack), into).item(0)
+        if into is None:
+            into = GradientSum(len(self.stack)).item(0)
         g = np.asarray(grad_log_probs)
         for i in range(len(self.stack) - 1, -1, -1):
             name, stage = self.stack[i]
@@ -458,8 +457,8 @@ class GradientSum:
     forever; releasing an item that has added every stage changes nothing.
     """
 
-    def __init__(self, stages, grads=None):
-        self.grads = {} if grads is None else grads
+    def __init__(self, stages):
+        self.grads = {}
         self._turns = threading.Condition()
         self._next = [0] * stages            # per stage, the item whose turn it is
         self._released = set()

@@ -73,54 +73,43 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
     one raises with the utterance id.  Each item runs with its own generator,
     seeded from `rng` in item order.
 
-    The items run on two threads (layers.run_items), the even ones here and
-    the odd ones on a worker, when two cores are free for them
-    (layers._halves_run_together) and no GEMM of the longest item is large
-    enough to split; otherwise they run here in order.  Either way every
-    item's backward adds into one gradient set, a stage at a time in item
-    order (network.GradientSum), so the bits are those of the serial sum,
-    and frees the item's tapes as it goes.  A failing item stops the items
-    after it, and the batch raises the first item's error once both threads
-    are done.
+    The items run through layers.run_items in item order, on this thread
+    and, when two cores are free for it and no GEMM of the longest item is
+    large enough to split, on a worker as well, each thread taking the first
+    item not yet taken.  Either way every item's backward adds into one
+    gradient set, a stage at a time in item order (network.GradientSum), so
+    the bits are those of the serial sum, and frees the item's tapes as it
+    goes.  Each item that starts releases its turns when it ends, whether it
+    added, was infeasible or failed.  A failing item stops the items after
+    it that have not started; since both threads take items in item order,
+    every started item comes before every unstarted one, so none waits for
+    an item that never started.  The batch raises the first failing item's
+    error.
     """
     items = batch.utterances
     seeds = [None] * len(items) if rng is None else rng.integers(2**63, size=len(items))
     total = GradientSum(len(net.stack))
-    losses = [None] * len(items)
-    errors = [None] * len(items)
 
     def one(j):
         utt = items[j]
         item_rng = None if seeds[j] is None else np.random.default_rng(seeds[j])
-        log_probs, tapes = net.forward(utt.features, params, train=train, rng=item_rng)
-        if np.isnan(log_probs).any():
-            raise RuntimeError(f"non-finite network output for utterance {utt.uid}")
-        loss, lattice = ctc_loss(log_probs, utt.target)
-        if not lattice.feasible:
-            return None
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss for utterance {utt.uid}")
-        net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype), into=total.item(j))
-        return float(loss)
+        try:
+            log_probs, tapes = net.forward(utt.features, params, train=train, rng=item_rng)
+            if np.isnan(log_probs).any():
+                raise RuntimeError(f"non-finite network output for utterance {utt.uid}")
+            loss, lattice = ctc_loss(log_probs, utt.target)
+            if not lattice.feasible:
+                return None
+            if not np.isfinite(loss):
+                raise RuntimeError(f"non-finite loss for utterance {utt.uid}")
+            net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype), into=total.item(j))
+            return float(loss)
+        finally:
+            total.release(j)
 
-    def run(js):
-        for j in js:
-            try:
-                if not any(e is not None for e in errors[:j]):
-                    losses[j] = one(j)
-            except BaseException as e:       # re-raised below, in item order
-                errors[j] = e
-            finally:
-                total.release(j)
-
-    if len(items) > 1 and layers._halves_run_together() and (
-            net.largest_gemm(max(u.features.shape[-1] for u in items)) < layers.SPLIT_MIN_MULADDS):
-        layers.run_items(run, range(0, len(items), 2), range(1, len(items), 2))
-    else:
-        run(range(len(items)))
-    error = next((e for e in errors if e is not None), None)
-    if error is not None:
-        raise error
+    whole = len(items) > 1 and (
+        net.largest_gemm(max(u.features.shape[-1] for u in items)) < layers.SPLIT_MIN_MULADDS)
+    losses = layers.run_items(one, range(len(items)), range(len(items)) if whole else None)
 
     counted = [loss for loss in losses if loss is not None]
     loss_sum = 0.0

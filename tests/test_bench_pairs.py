@@ -49,6 +49,35 @@ class TestSummarize:
         rss = bench_pairs.summarize(runs, METRICS)["w"]["peak_rss_mb"]
         assert (rss["pairs"], rss["change_wins"]) == (1, 1)
 
+    @pytest.mark.parametrize("parents, changes, resolved", [
+        ([100, 104, 106, 110, 96], [101, 103, 105, 109, 97], True),    # IQR 6 <= 0.1 * 104
+        ([80, 104, 118, 130, 90], [101, 103, 105, 109, 97], False),    # IQR 28 > 0.1 * 104
+        ([80, 104, 118, 130, 90], [70, 71, 72, 73, 74], True),         # every change run better
+        ([80, 104, 118, 130, 90], [70, 71, 72, 73, 81], False),        # one is not
+    ])
+    def test_a_metric_is_resolved_by_a_narrow_parent_or_a_clean_sweep(self, parents, changes,
+                                                                      resolved):
+        runs = []
+        for seed, (p, c) in enumerate(zip(parents, changes)):
+            runs += [run("w", seed, "parent", peak_rss_mb=p),
+                     run("w", seed, "change", peak_rss_mb=c)]
+        metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+        row = bench_pairs.summarize(runs, metrics)["w"]["peak_rss_mb"]
+        assert row["bound"] == 0.1
+        assert row["resolved"] is resolved
+
+    def test_a_clean_sweep_counts_in_the_better_direction(self):
+        runs = []
+        # the parent's IQR, 5.75, is wider than 0.25 * its median 11.5
+        for seed, (p, c) in enumerate([(10, 31), (12, 32), (30, 33), (11, 34)]):
+            runs += [run("w", seed, "parent", frames_per_s=p, peak_rss_mb=p),
+                     run("w", seed, "change", frames_per_s=c, peak_rss_mb=c)]
+        metrics = [{"name": "frames_per_s", "better": "higher", "bound": 0.25},
+                   {"name": "peak_rss_mb", "better": "lower", "bound": 0.25}]
+        rows = bench_pairs.summarize(runs, metrics)["w"]
+        assert rows["frames_per_s"]["resolved"] is True
+        assert rows["peak_rss_mb"]["resolved"] is False
+
 
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("401-404") == [401, 402, 403, 404]

@@ -738,30 +738,156 @@ class TestRunItems:
         monkeypatch.setattr(layers, "_executor", no_pool)
         big = np.ones(1, np.float32)
         assert layers._parts(layers.SPLIT_MIN_MULADDS, big) == 2
+        # each side's first index waits for the other's, so both take one
+        both_started = threading.Barrier(2, timeout=10)
         seen = {}
 
-        def run(side):
-            seen[side] = (threading.current_thread().name,
-                          layers._parts(layers.SPLIT_MIN_MULADDS, big))
+        def work(i):
+            if i in (0, 3):
+                both_started.wait()
+            seen[i] = (threading.current_thread().name,
+                       layers._parts(layers.SPLIT_MIN_MULADDS, big))
+            return 10 * i
 
-        layers.run_items(run, "here", "there")
-        assert seen == {"here": (threading.current_thread().name, 1),
-                        "there": ("convctc-items", 1)}
+        assert layers.run_items(work, [0, 1, 2, 3], [3, 2, 1, 0]) == [0, 10, 20, 30]
+        assert seen[0] == (threading.current_thread().name, 1)
+        assert seen[3] == ("convctc-items", 1)
+        assert sorted(seen) == [0, 1, 2, 3] and {parts for _, parts in seen.values()} == {1}
         assert layers._parts(layers.SPLIT_MIN_MULADDS, big) == 2      # restored
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_results_come_back_by_index(self, force_split, on):
+        force_split(on)
+        assert layers.run_items(lambda i: i * i, [2, 0, 3, 1], [1, 3, 0, 2]) == [0, 1, 4, 9]
+        assert layers.run_items(lambda i: i, [], []) == []
+
+    @pytest.mark.parametrize("there", ["same", "reversed"])
+    def test_each_index_runs_once_on_two_threads(self, force_split, there):
+        force_split(True)
+        n = 400
+        calls = []
+
+        def work(i):
+            calls.append((i, threading.current_thread().name))
+            np.add(np.ones(64), i)          # a call that may give up the interpreter lock
+            return i
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            order = range(n) if there == "same" else range(n - 1, -1, -1)
+            results = layers.run_items(work, range(n), order)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == list(range(n))
+        assert sorted(i for i, _ in calls) == list(range(n))
+        assert {name for _, name in calls} <= {threading.current_thread().name, "convctc-items"}
+
+    @pytest.mark.parametrize("n, there, on", [(4, None, True), (1, [0], True),
+                                              (4, [3, 2, 1, 0], False)],
+                             ids=["no-there", "one-item", "no-two-cores"])
+    def test_the_calling_thread_alone_runs_everything(self, force_split, n, there, on):
+        force_split(on)
+        big = np.ones(1, np.float32)
+        threads = threading.active_count()
+        seen = []
+
+        def work(i):
+            seen.append((i, threading.current_thread().name,
+                         layers._parts(layers.SPLIT_MIN_MULADDS, big)))
+            assert threading.active_count() == threads
+
+        layers.run_items(work, range(n), there)
+        # in the order of `here`, and a GEMM may split as it would outside
+        assert seen == [(i, threading.current_thread().name, 2 if on else 1)
+                        for i in range(n)]
+
+    @pytest.mark.parametrize("failing, started, raised", [
+        ({1}, [3, 1, 0], 1), ({3, 1}, [3, 1, 0], 1), ({0}, [3, 1, 0], 0), ({4}, [3, 1, 0, 2, 4], 4)])
+    def test_no_index_above_a_failing_one_is_started_here(self, force_split, failing, started,
+                                                           raised):
+        force_split(False)
+        seen = []
+
+        def work(i):
+            seen.append(i)
+            if i in failing:
+                raise RuntimeError(str(i))
+
+        with pytest.raises(RuntimeError, match=f"^{raised}$"):
+            layers.run_items(work, [3, 1, 0, 2, 4], [4, 2, 0, 1, 3])
+        assert seen == started
+
+    def test_no_index_above_a_failing_one_is_started_on_two_threads(self, force_split):
+        # both threads in item order: each takes one of 0 and 1, and 0 fails
+        # while 1 still runs; 1 finishes, and nothing after it starts
+        force_split(True)
+        both_started = threading.Barrier(2, timeout=10)
+        seen = []
+
+        def work(i):
+            seen.append((i, threading.current_thread().name))
+            if i in (0, 1):
+                both_started.wait()
+            if i == 0:
+                raise RuntimeError("0")
+            time.sleep(0.05)
+
+        with pytest.raises(RuntimeError, match="^0$"):
+            layers.run_items(work, range(6), range(6))
+        assert sorted(i for i, _ in seen) == [0, 1]
+        assert {name for _, name in seen} == {threading.current_thread().name, "convctc-items"}
+
+    @pytest.mark.parametrize("lower", ["here", "there"])
+    @pytest.mark.parametrize("lower_fails_first", [True, False])
+    def test_the_lowest_failing_index_is_raised_on_either_side(self, force_split, lower,
+                                                               lower_fails_first):
+        # each side fails on its first index, 0 on the `lower` side and 3 on
+        # the other, in the order given; with the lower one failing first,
+        # 1 and 2 are never started
+        force_split(True)
+        both_started = threading.Barrier(2, timeout=10)
+        first_failed = threading.Event()
+        seen = []
+
+        def work(i):
+            seen.append(i)
+            if i in (0, 3):
+                both_started.wait()
+                if (i == 0) != lower_fails_first:
+                    assert first_failed.wait(10)
+                    time.sleep(0.05)
+                else:
+                    first_failed.set()
+                raise RuntimeError(str(i))
+
+        ascending, descending = [0, 1, 2, 3], [3, 2, 1, 0]
+        here, there = (ascending, descending) if lower == "here" else (descending, ascending)
+        with pytest.raises(RuntimeError, match="^0$"):
+            layers.run_items(work, here, there)
+        if lower_fails_first:
+            assert sorted(seen) == [0, 3]
 
     @pytest.mark.parametrize("failing, raised", [({"there"}, "there"), ({"here"}, "here"),
                                                  ({"here", "there"}, "here")])
-    def test_an_error_on_either_side_reraises_after_both_end(self, failing, raised):
+    def test_an_error_on_either_side_reraises_after_both_end(self, force_split, failing,
+                                                             raised):
+        # index 0 runs here and index 1 there; the side that does not fail
+        # finishes after the other has failed
+        force_split(True)
+        both_started = threading.Barrier(2, timeout=10)
+        side = {0: "here", 1: "there"}
         finished = []
 
-        def run(side):
-            if side in failing:
-                raise RuntimeError(side)
+        def work(i):
+            both_started.wait()
+            if side[i] in failing:
+                raise RuntimeError(side[i])
             time.sleep(0.05)
-            finished.append(side)
+            finished.append(side[i])
 
         with pytest.raises(RuntimeError, match=f"^{raised}$"):
-            layers.run_items(run, "here", "there")
+            layers.run_items(work, [0, 1], [1, 0])
         assert finished == sorted({"here", "there"} - failing)
         assert not getattr(layers._whole, "on", False)
 

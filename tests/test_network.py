@@ -405,9 +405,9 @@ class TestBackward:
             return net.backward(tapes, upstream[i], into=into)
 
         first, second = backward(0), backward(1)
-        accumulated = backward(0)
-        arrays = dict(accumulated)
-        accumulated = backward(1, into=accumulated)
+        total = GradientSum(len(net.stack))
+        arrays = dict(backward(0, into=total.item(0)))
+        accumulated = backward(1, into=total.item(1))
         assert list(accumulated) == [name for name, _, _ in net.param_specs()]
         for name, g in accumulated.items():
             assert g is arrays[name]

@@ -14,7 +14,7 @@ import convctc.train
 from convctc import layers
 from convctc.checkpoint import load_checkpoint
 from convctc.ctc import Alphabet
-from convctc.data import (TaskSpec, Utterance, generate_synthetic, load_manifest,
+from convctc.data import (Batch, TaskSpec, Utterance, generate_synthetic, load_manifest,
                           make_batches)
 from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkConfig,
                              PoolSpec)
@@ -193,6 +193,13 @@ class TestItemThreads:
         outcome = within(30, lambda: batch_gradients(net, params, batch,
                                                      rng=np.random.default_rng(5)))
         assert "first-nan" in str(outcome["error"])
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_an_empty_batch_adds_nothing(self, item_threads, on):
+        net, params = dropout_net()
+        item_threads(on)
+        assert batch_gradients(net, params, Batch([]), rng=np.random.default_rng(5)) == (
+            None, 0.0, 0, 0)
 
     def test_infeasible_item_on_the_worker_is_skipped(self, item_threads):
         net, params = dropout_net()

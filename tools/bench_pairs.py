@@ -14,8 +14,9 @@ even-indexed seeds and the change for odd ones.  Every result line, with
 its seed, environment line and commit, goes to `BENCH_<label>.json` at the
 repository root, rewritten after each run, together with a summary: for
 each workload and end-to-end metric of `BENCHMARK.json`, each side's median
-and quartiles, the number of pairs, the pairs the change won and the
-parent's interquartile range.  With `--trace-seed S`, each side then makes
+and quartiles, the number of pairs, the pairs the change won, the
+parent's interquartile range, the metric's bound and whether the runs
+resolve it (see `summarize`).  With `--trace-seed S`, each side then makes
 one `--trace 1` run of every workload with seed S, kept under `trace_runs`
 in the same record layout and left out of the summary.
 
@@ -47,10 +48,14 @@ def summarize(runs, metrics):
 
     `runs` are records with "workload", "seed", "side" ("parent" or
     "change") and "metrics" {name: value}; `metrics` are BENCHMARK.json's
-    end-to-end entries, with "name" and "better" ("lower" or "higher").  A
-    pair is the two sides' runs of one workload and seed; a tie wins for
-    neither side, and a pair that misses a value on either side is not
-    counted.
+    end-to-end entries, with "name", "better" ("lower" or "higher") and
+    "bound", a fraction.  A pair is the two sides' runs of one workload and
+    seed; a tie wins for neither side, and a pair that misses a value on
+    either side is not counted.  A metric is "resolved" when the parent's
+    interquartile range is at most `bound` times the parent's median, in
+    magnitude, or when every change run is better than every parent run:
+    otherwise the parent's spread is too wide to tell a change within the
+    bound from noise.
     """
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -67,8 +72,9 @@ def summarize(runs, metrics):
             if not pairs:
                 continue
             sign = 1 if metric["better"] == "higher" else -1
-            parent = quartiles([p for p, _ in pairs])
-            change = quartiles([c for _, c in pairs])
+            parents, changes = [p for p, _ in pairs], [c for _, c in pairs]
+            parent, change = quartiles(parents), quartiles(changes)
+            bound = metric.get("bound")
             rows[name] = {
                 "pairs": len(pairs),
                 "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
@@ -77,6 +83,9 @@ def summarize(runs, metrics):
                 "change": dict(zip(("q1", "median", "q3"), change)),
                 "median_change_frac": (change[1] - parent[1]) / parent[1] if parent[1] else None,
                 "parent_iqr": parent[2] - parent[0],
+                "bound": bound,
+                "resolved": (bound is not None and parent[2] - parent[0] <= bound * abs(parent[1])
+                             or all(sign * (c - p) > 0 for p in parents for c in changes)),
             }
         summary[workload] = rows
     return summary
