@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError
 
@@ -232,7 +231,7 @@ def conv2d_forward(x, weights, biases, freq_padding="same"):
     if bands + fl + fr < m:
         raise ShapeError(f"filter height {m} exceeds padded band count {bands + fl + fr}")
 
-    padded = np.pad(x, ((0, 0), (fl, fr), (tl, tr)))
+    padded = _zero_pad(x, fl, fr, tl, tr)
     out_b = padded.shape[1] - m + 1
     out_f = padded.shape[2] - n + 1
     w2 = weights.reshape(k, -1)
@@ -244,16 +243,29 @@ def conv2d_forward(x, weights, biases, freq_padding="same"):
     return out, tape
 
 
+def _zero_pad(x, fl, fr, tl, tr):
+    """[c x b x f] -> a contiguous [c x fl+b+fr x tl+f+tr] copy with zero borders."""
+    c, bands, frames = x.shape
+    padded = np.zeros((c, fl + bands + fr, tl + frames + tr), dtype=x.dtype)
+    padded[:, fl:fl + bands, tl:tl + frames] = x
+    return padded
+
+
 def _channel_rows(ch, m, n):
     """The rows of a patch matrix that hold the input channels `ch`."""
     return slice(ch.start * m * n, ch.stop * m * n)
 
 
 def _fill_patches(patches, padded, ch, m, n):
-    """Write the rows of the im2col matrix [c*m*n, b'*f'] that hold the channels `ch`."""
-    win = sliding_window_view(padded[ch], (m, n), axis=(1, 2))    # [c, b', f', m, n]
-    rows = patches[_channel_rows(ch, m, n)]
-    rows.reshape(win.shape[0], m, n, *win.shape[1:3])[...] = win.transpose(0, 3, 4, 1, 2)
+    """Write the rows of the im2col matrix [c*m*n, b'*f'] that hold the channels `ch`.
+
+    The windows are one strided view of the contiguous `padded`, made in
+    [c, m, n, b', f'] order, the rows' own order."""
+    _, pad_b, pad_f = padded.shape
+    s0, s1, s2 = padded.strides
+    win = np.ndarray((ch.stop - ch.start, m, n, pad_b - m + 1, pad_f - n + 1), padded.dtype,
+                     padded, ch.start * s0, (s0, s1, s2, s1, s2))
+    patches[_channel_rows(ch, m, n)].reshape(win.shape)[...] = win
 
 
 def _col2im(grad_padded, grad_patches, m, n, out_b, out_f):
@@ -283,9 +295,9 @@ def conv2d_backward(tape, grad_out, weights):
     m, n = weights.shape[2:]
     gy = grad_out.reshape(k, -1)
 
-    grad_b = grad_out.sum(axis=(1, 2))
+    grad_b = np.add.reduce(grad_out, axis=(1, 2))
     w2 = weights.reshape(k, -1)
-    grad_padded = np.zeros_like(tape.padded)
+    grad_padded = np.zeros(tape.padded.shape, dtype=tape.padded.dtype)
     parts = _parts(w2.size * gy.shape[1], tape.padded, weights, grad_out)
     patches = np.empty((w2.shape[1], gy.shape[1]), dtype=np.result_type(tape.padded, w2, gy))
     grad_w = np.empty(w2.shape, dtype=np.result_type(gy, patches))
@@ -493,7 +505,7 @@ def dense_backward(tape, grad_out, weights):
         np.matmul(grad_out[outputs], x.T, out=grad_w[outputs])
 
     _in_parts(part, _parts(w.size * x.shape[1], x, w, grad_out))
-    grad_b = grad_out.sum(axis=1)
+    grad_b = np.add.reduce(grad_out, axis=1)
     return grad_x, grad_w, grad_b
 
 

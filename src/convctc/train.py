@@ -76,15 +76,17 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
     The items run through layers.run_items in item order, on this thread
     and, when two cores are free for it and no GEMM of the longest item is
     large enough to split, on a worker as well, each thread taking the first
-    item not yet taken.  Either way every item's backward adds into one
-    gradient set, a stage at a time in item order (network.GradientSum), so
-    the bits are those of the serial sum, and frees the item's tapes as it
-    goes.  Each item that starts releases its turns when it ends, whether it
-    added, was infeasible or failed.  A failing item stops the items after
-    it that have not started; since both threads take items in item order,
-    every started item comes before every unstarted one, so none waits for
-    an item that never started.  The batch raises the first failing item's
-    error.
+    item not yet taken.  Either way every item's backward hands each stage's
+    gradients over to one gradient set (network.GradientSum), which adds
+    them a stage at a time in item order, so the bits are those of the
+    serial sum, and frees the item's tapes as it goes; no thread waits for
+    another's item.  Each item that starts is released when it ends,
+    whether it handed over every stage, was infeasible or failed, and every
+    gradient handed over is added by the time run_items returns.  A failing
+    item stops the items after it that have not started; since both
+    threads take items in item order, every started item comes before
+    every unstarted one, so no turn stops at an item that never started.
+    The batch raises the first failing item's error.
     """
     items = batch.utterances
     seeds = [None] * len(items) if rng is None else rng.integers(2**63, size=len(items))
@@ -134,7 +136,9 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
     run's log or checkpoints, and writes nothing there.
 
     Raises RuntimeError, naming the epoch, batch and parameter, when a batch
-    gradient is not finite; the parameters are then left as they were.
+    gradient is not finite, leaving the parameters as they were, or when a
+    parameter is not finite after the step; either way before that epoch
+    writes its log line or a checkpoint.
     """
     log_path = os.path.join(out_dir, "metrics.jsonl")
     best_path = os.path.join(out_dir, "best.ckpt")
@@ -218,7 +222,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
                 skipped_total += skipped
                 if grads is None:
                     continue
-                bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+                bad = _non_finite(grads)
                 if bad is not None:
                     raise RuntimeError(f"epoch {epoch}, batch {bi}, ids {batch.ids}: "
                                        f"non-finite gradient for {bad}")
@@ -228,6 +232,10 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
                 if clip is not None:
                     grads = global_norm_clip(grads, clip)
                 step(params, grads, opt)
+                bad = _non_finite(params)
+                if bad is not None:
+                    raise RuntimeError(f"epoch {epoch}, batch {bi}, ids {batch.ids}: "
+                                       f"non-finite parameter {bad} after the step")
 
             if skipped_total and not quiet:
                 print(f"warning: epoch {epoch}: skipped {skipped_total} infeasible "
@@ -278,6 +286,11 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
                                               opt, stats, meta(final_epoch)))
 
     return TrainResult(final_epoch - start_epoch, best_ler, log_path, best_path, last_path)
+
+
+def _non_finite(arrays):
+    """The name of the first array of `arrays` that holds a NaN or an inf, else None."""
+    return next((name for name, a in arrays.items() if not np.isfinite(a).all()), None)
 
 
 def _fresh_optimizer(stage, net, lr, l2, dtype):

@@ -43,6 +43,19 @@ def reference_conv2d_backward(tape, grad_out, weights):
             grad_out.sum(axis=(1, 2)))
 
 
+# The conv set-up that np.pad and sliding_window_view made, kept as the
+# reference for the one-copy padding and the one-call window view.
+
+def reference_zero_pad(x, fl, fr, tl, tr):
+    return np.pad(x, ((0, 0), (fl, fr), (tl, tr)))
+
+
+def reference_fill_patches(patches, padded, ch, m, n):
+    win = sliding_window_view(padded[ch], (m, n), axis=(1, 2))    # [c, b', f', m, n]
+    rows = patches[layers._channel_rows(ch, m, n)]
+    rows.reshape(win.shape[0], m, n, *win.shape[1:3])[...] = win.transpose(0, 3, 4, 1, 2)
+
+
 # The np.where kernels that layers.relu, layers.prelu and
 # layers.prelu_backward replaced, kept as references.
 
@@ -726,6 +739,53 @@ class TestGemmSplit:
         first.shutdown()
         assert second is not first
         assert second.submit(lambda: 7).result(timeout=10) == 7
+
+
+class TestConvSetup:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("c", [1, 5])             # one channel: one split part is empty
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bytes_match_the_pad_and_window_view_reference(self, force_split, monkeypatch,
+                                                           dtype, padding, split, c,
+                                                           transposed):
+        rng = np.random.default_rng(c)
+        bands, frames, k = 9, 23, 7
+        if transposed:      # a view whose bands are its last axis in memory
+            x = rng.standard_normal((c, frames, bands)).astype(dtype).transpose(0, 2, 1)
+            assert not x.flags.c_contiguous
+        else:
+            x = rng.standard_normal((c, bands, frames)).astype(dtype)
+        w = (rng.standard_normal((k, c, 3, 5)) * 0.1).astype(dtype)
+        b = rng.standard_normal(k).astype(dtype)
+        out_b = bands if padding == "same" else bands - 2
+        gy = rng.standard_normal((k, out_b, frames)).astype(dtype)
+        monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", 0)
+        dispatches = force_split(split)
+
+        def run():
+            out, tape = layers.conv2d_forward(x, w, b, padding)
+            return (tape.padded, out, *layers.conv2d_backward(tape, gy, w))
+
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_zero_pad", reference_zero_pad)
+            m.setattr(layers, "_fill_patches", reference_fill_patches)
+            expected = run()
+        assert len(dispatches) == (10 if split else 0)     # 5 per run
+        for a, e in zip(got, expected):
+            assert a.dtype == e.dtype == dtype and a.shape == e.shape
+            assert a.tobytes() == e.tobytes()
+
+    def test_window_view_reads_only_its_channels(self):
+        padded = np.arange(4 * 6 * 9, dtype=np.float32).reshape(4, 6, 9)
+        for ch in (slice(0, 4), slice(1, 3), slice(3, 4), slice(4, 4)):
+            got = np.full((4 * 3 * 5, 4 * 5), -1, np.float32)
+            expected = got.copy()
+            layers._fill_patches(got, padded, ch, 3, 5)
+            reference_fill_patches(expected, padded, ch, 3, 5)
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestRunItems:

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import inspect
 import os
 import sys
+import textwrap
 import threading
 import tracemalloc
 import weakref
@@ -10,8 +13,8 @@ import pytest
 
 from convctc import layers, optim
 from convctc.layers import log_softmax_frames
-from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, GradientSum, Network,
-                             NetworkConfig, PoolSpec, figure3_config)
+from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, GradientSum, ItemGradients,
+                             Network, NetworkConfig, PoolSpec, figure3_config)
 from convctc.tensor import ShapeError
 from convctc.verify import (GRAD_TOL, central_diff, network_loss_and_grads, rel_error,
                             toy_network)
@@ -406,10 +409,11 @@ class TestBackward:
 
         first, second = backward(0), backward(1)
         total = GradientSum(len(net.stack))
-        arrays = dict(backward(0, into=total.item(0)))
-        accumulated = backward(1, into=total.item(1))
-        assert list(accumulated) == [name for name, _, _ in net.param_specs()]
-        for name, g in accumulated.items():
+        assert backward(0, into=total.item(0)) is None
+        arrays = dict(total.grads)
+        assert backward(1, into=total.item(1)) is None
+        assert sorted(total.grads) == sorted(name for name, _, _ in net.param_specs())
+        for name, g in total.grads.items():
             assert g is arrays[name]
             assert g.tobytes() == (first[name] + second[name]).tobytes(), name
 
@@ -426,6 +430,24 @@ class TestBackward:
             net.backward(tapes, np.zeros((4, 9)))
 
 
+def _within(seconds, scenario):
+    """Run scenario() on a daemon thread; fail if it has not returned in time."""
+    errors = []
+
+    def run():
+        try:
+            scenario()
+        except BaseException as e:      # re-raised below
+            errors.append(e)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if errors:
+        raise errors[0]
+
+
 class TestGradientSum:
     ITEMS, STAGES = 24, 4
     RELEASED = {0, 5, 6, 17}      # items that add nothing: skipped or failed
@@ -436,22 +458,39 @@ class TestGradientSum:
         return [[(rng.standard_normal(256) * 10.0 ** rng.integers(-4, 5)).astype(np.float32)
                  for _ in range(self.STAGES)] for _ in range(self.ITEMS)]
 
+    def _hand_over(self, total, j, values, stages=None):
+        for stage in reversed(range(self.STAGES)) if stages is None else stages:
+            total.item(j).add(stage, {f"stage{stage}": values[j][stage].copy()})
+
     def _add(self, total, j, values):
         if j not in self.RELEASED:
-            for stage in reversed(range(self.STAGES)):
-                with total.item(j).adding(stage) as grads:
-                    name = f"stage{stage}"
-                    if name in grads:
-                        grads[name] += values[j][stage]
-                    else:
-                        grads[name] = values[j][stage].copy()
+            self._hand_over(total, j, values)
         total.release(j)
+
+    def _serial(self, values, items):
+        """The sum over `items` in item order, added stage by stage."""
+        sums = {}
+        for j in items:
+            for stage in range(self.STAGES):
+                name = f"stage{stage}"
+                if name in sums:
+                    sums[name] += values[j][stage]
+                else:
+                    sums[name] = values[j][stage].copy()
+        return sums
+
+    def _assert_bytes(self, total, expected):
+        assert sorted(total.grads) == sorted(expected)
+        for name, g in expected.items():
+            assert total.grads[name].tobytes() == g.tobytes(), name
 
     def test_many_threads_add_in_item_order(self):
         values = self._values()
         serial = GradientSum(self.STAGES)
         for j in range(self.ITEMS):
             self._add(serial, j, values)
+        self._assert_bytes(serial, self._serial(
+            values, [j for j in range(self.ITEMS) if j not in self.RELEASED]))
         threads_n = 6
         total = GradientSum(self.STAGES)
         threads = [threading.Thread(target=lambda t: [self._add(total, j, values) for j in
@@ -467,9 +506,56 @@ class TestGradientSum:
         finally:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
-        assert sorted(total.grads) == sorted(serial.grads)
-        for name, g in serial.grads.items():
-            assert total.grads[name].tobytes() == g.tobytes(), name
+        self._assert_bytes(total, serial.grads)
+
+    def test_a_later_item_hands_over_before_an_earlier_one_adds(self):
+        # on one thread: waiting for item 0 here would never end
+        values = self._values()
+
+        def scenario():
+            total = GradientSum(self.STAGES)
+            self._hand_over(total, 1, values)
+            total.release(1)
+            assert total.grads == {}
+            self._hand_over(total, 0, values)
+            total.release(0)
+            self._assert_bytes(total, self._serial(values, [0, 1]))
+
+        def reversed_items():
+            total = GradientSum(self.STAGES)
+            for j in reversed(range(6)):
+                self._hand_over(total, j, values)
+                total.release(j)
+            self._assert_bytes(total, self._serial(values, range(6)))
+
+        _within(30, scenario)
+        _within(30, reversed_items)
+
+    def test_held_stages_of_a_released_item_are_still_added(self):
+        values = self._values()
+
+        def scenario():
+            total = GradientSum(self.STAGES)
+            self._hand_over(total, 0, values, stages=[0])     # then item 0 fails
+            self._hand_over(total, 1, values)
+            total.release(1)                                    # done, every stage held
+            self._hand_over(total, 2, values, stages=[3, 2])
+            total.release(0)        # passes stages 1-3 on through item 1's held gradients
+            self._hand_over(total, 2, values, stages=[1, 0])
+            total.release(2)
+            expected = self._serial(values, [1, 2])
+            expected["stage0"] = self._serial(values, [0, 1, 2])["stage0"]
+            self._assert_bytes(total, expected)
+
+        _within(30, scenario)
+
+    def test_no_thread_waits_on_a_condition(self):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for cls in (GradientSum, ItemGradients)
+                 for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls))))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert "_lock" in names
+        assert not names & {"Condition", "wait", "wait_for", "Event", "Semaphore"}
 
 
 def _arrays(obj):

@@ -16,8 +16,8 @@ from convctc.checkpoint import load_checkpoint
 from convctc.ctc import Alphabet
 from convctc.data import (Batch, TaskSpec, Utterance, generate_synthetic, load_manifest,
                           make_batches)
-from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkConfig,
-                             PoolSpec)
+from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, ItemGradients, Network,
+                             NetworkConfig, PoolSpec)
 from convctc.optim import init_uniform
 from convctc.tensor import save_tensor
 from convctc.train import batch_gradients, train
@@ -308,16 +308,18 @@ class TestTrainLoop:
 
     def test_non_finite_gradient_stops_before_the_step(self, small_task, tmp_path, monkeypatch):
         import convctc.train
-        original = Network.backward
+        original = ItemGradients.add
 
-        def injecting(self, tapes, grad_log_probs, into=None):
-            grads = original(self, tapes, grad_log_probs, into=into)
-            grads["output.w"][0, 0] = np.inf
-            grads["dense1.w2"][1, 1] = -np.inf
-            return grads
+        def injecting(self, stage, grads):
+            # every item hands over a non-finite value in two parameters
+            poison = {"output.w": (0, 0, np.inf), "dense1.w2": (1, 1, -np.inf)}
+            for name, (row, col, value) in poison.items():
+                if name in grads:
+                    grads[name][row, col] = value
+            original(self, stage, grads)
 
         steps = []
-        monkeypatch.setattr(Network, "backward", injecting)
+        monkeypatch.setattr(ItemGradients, "add", injecting)
         monkeypatch.setattr(convctc.train, "step", lambda *args: steps.append(args))
         out = tmp_path / "run"
         with pytest.raises(RuntimeError, match=r"epoch 1, batch 0, ids \[.+\]: "
@@ -325,6 +327,20 @@ class TestTrainLoop:
             train(small_config(), small_task["alphabet"], small_task["train"],
                   small_task["dev"], str(out), epochs=1, batch_size=4, quiet=True)
         assert steps == []
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+        assert (out / "metrics.jsonl").read_bytes() == b""
+
+    def test_non_finite_parameter_stops_before_any_log_or_checkpoint(self, small_task,
+                                                                       tmp_path):
+        # 1e39 is past float32's largest value, so the first SGD step makes
+        # the parameters infinite
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match=r"epoch 1, batch 0, ids \[.+\]: non-finite "
+                                               r"parameter conv1\.w1 after the step$"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            train(small_config(), small_task["alphabet"], small_task["train"],
+                  small_task["dev"], str(out), epochs=1, batch_size=4, stage="sgd", lr=1e39,
+                  quiet=True)
         assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
         assert (out / "metrics.jsonl").read_bytes() == b""
 
