@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from .ctc import Alphabet
 from .features import NormalizationStats, read_stats, write_stats
 from .network import Network, NetworkConfig, _from_json
-from .optim import OPTIMIZER_KINDS, OptimizerState
+from .optim import OPTIMIZER_KINDS, OptimizerState, check_rates
 from .tensor import ShapeError, atomic_write, read_tensor, write_tensor
 
 _MAGIC = b"CCKP"
@@ -83,7 +83,8 @@ def save_checkpoint(path, ckpt):
 
 def load_checkpoint(path):
     """Load and validate: parameter names, and the shapes of the parameters
-    and Adam moments, must match the config."""
+    and Adam moments, must match the config, and the optimizer's lr and l2
+    must be finite in the parameters' dtype."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if head[:4] != _MAGIC:
@@ -130,6 +131,9 @@ def load_checkpoint(path):
                     raise ShapeError(f"{path}: {what} {name} has shape {t.shape}, "
                                      f"config expects {expected[name]}")
                 tensors[name] = t
+        if optimizer is not None:
+            check_rates(params[names[0]].dtype, optimizer.lr, optimizer.l2,
+                        f"{path}: checkpoint optimizer: ")
         stats = read_stats(fh, path) if header.has_stats else None
 
     return Checkpoint(config, alphabet, params, optimizer, stats, header.meta)

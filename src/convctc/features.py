@@ -4,7 +4,8 @@ Utterances enter as precomputed static filterbank matrices [bands x frames]
 (40 log-mel coefficients plus an energy row by convention, 41 bands).  This
 module stacks static / delta / delta-delta into the 3-channel network input
 and normalizes each (channel, band) dimension to zero mean and unit variance
-using statistics fitted over the training set.
+using statistics fitted over the training set.  The deltas are regression
+slopes over the paper's window of DELTA_WINDOW = 2 frames on each side.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ DELTA_WINDOW = 2
 VARIANCE_FLOOR = 1e-8
 
 
-def compute_deltas(static, window=DELTA_WINDOW):
-    """Regression deltas with edge-frame replication.
+def compute_deltas(static):
+    """Regression deltas with edge-frame replication, N = DELTA_WINDOW:
 
     d_t = sum_{n=1..N} n * (c_{t+n} - c_{t-n}) / (2 * sum_{n=1..N} n^2)
     """
@@ -26,8 +27,7 @@ def compute_deltas(static, window=DELTA_WINDOW):
     if static.ndim != 2 or static.shape[1] < 1:
         raise ValueError(f"static features must be [bands x frames] with frames >= 1, "
                          f"got shape {static.shape}")
-    if window < 1:
-        raise ValueError(f"delta window must be >= 1, got {window}")
+    window = DELTA_WINDOW
     padded = np.pad(static, ((0, 0), (window, window)), mode="edge")
     f = static.shape[1]
     num = np.zeros_like(static, dtype=np.result_type(static.dtype, np.float64))
@@ -48,14 +48,14 @@ class NormalizationStats:
         return (assembled - self.means[:, :, None]) / self.stds[:, :, None]
 
 
-def stack_channels(static, window=DELTA_WINDOW):
+def stack_channels(static):
     """Unnormalized [3 x bands x frames]: static, delta, delta-delta."""
-    d = compute_deltas(static, window)
-    dd = compute_deltas(d, window)
+    d = compute_deltas(static)
+    dd = compute_deltas(d)
     return np.stack([static, d, dd])
 
 
-def fit_normalization(static_matrices, window=DELTA_WINDOW):
+def fit_normalization(static_matrices):
     """Streaming mean/variance over every training frame, per (channel, band).
 
     Accepts any iterable of static [bands x frames] matrices; accumulation
@@ -67,7 +67,7 @@ def fit_normalization(static_matrices, window=DELTA_WINDOW):
     total_sq = None
     bands = None
     for static in static_matrices:
-        x = stack_channels(np.asarray(static, dtype=np.float64), window)
+        x = stack_channels(np.asarray(static, dtype=np.float64))
         if total is None:
             bands = x.shape[1]
             total = np.zeros((3, bands))
@@ -84,10 +84,10 @@ def fit_normalization(static_matrices, window=DELTA_WINDOW):
     return NormalizationStats(means, np.sqrt(variances))
 
 
-def assemble_input(static, stats=None, window=DELTA_WINDOW, dtype=None):
+def assemble_input(static, stats=None, dtype=None):
     """Normalized 3-channel network input [3 x bands x frames]."""
     static = np.asarray(static)
-    assembled = stack_channels(static, window)
+    assembled = stack_channels(static)
     if stats is not None:
         if stats.means.shape[1] != static.shape[0]:
             raise ValueError(f"stats fitted for {stats.means.shape[1]} bands, "

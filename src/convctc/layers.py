@@ -237,7 +237,7 @@ def conv2d_forward(x, weights, biases, freq_padding="same"):
     w2 = weights.reshape(k, -1)
     parts = _parts(w2.size * out_b * out_f, padded, weights, biases)
     patches = np.empty((w2.shape[1], out_b * out_f), dtype=padded.dtype)   # [c*m*n, out_b*out_f]
-    _in_parts(lambda i, parts: _fill_patches(patches, padded, _rows(c, i, parts), m, n), parts)
+    _fill_patches(patches, padded, m, n)
     out = _affine(w2, patches, biases, parts).reshape(k, out_b, out_f)
     tape = ConvTape(padded, (fl, tl), x.shape, out.shape)
     return out, tape
@@ -251,21 +251,16 @@ def _zero_pad(x, fl, fr, tl, tr):
     return padded
 
 
-def _channel_rows(ch, m, n):
-    """The rows of a patch matrix that hold the input channels `ch`."""
-    return slice(ch.start * m * n, ch.stop * m * n)
-
-
-def _fill_patches(patches, padded, ch, m, n):
-    """Write the rows of the im2col matrix [c*m*n, b'*f'] that hold the channels `ch`.
+def _fill_patches(patches, padded, m, n):
+    """Write the im2col matrix [c*m*n, b'*f'] of `padded` into `patches`.
 
     The windows are one strided view of the contiguous `padded`, made in
-    [c, m, n, b', f'] order, the rows' own order."""
-    _, pad_b, pad_f = padded.shape
+    [c, m, n, b', f'] order, the rows' own order, and copied in one go."""
+    c, pad_b, pad_f = padded.shape
     s0, s1, s2 = padded.strides
-    win = np.ndarray((ch.stop - ch.start, m, n, pad_b - m + 1, pad_f - n + 1), padded.dtype,
-                     padded, ch.start * s0, (s0, s1, s2, s1, s2))
-    patches[_channel_rows(ch, m, n)].reshape(win.shape)[...] = win
+    win = np.ndarray((c, m, n, pad_b - m + 1, pad_f - n + 1), padded.dtype, padded,
+                     strides=(s0, s1, s2, s1, s2))
+    patches.reshape(win.shape)[...] = win
 
 
 def _col2im(grad_padded, grad_patches, m, n, out_b, out_f):
@@ -302,20 +297,17 @@ def conv2d_backward(tape, grad_out, weights):
     patches = np.empty((w2.shape[1], gy.shape[1]), dtype=np.result_type(tape.padded, w2, gy))
     grad_w = np.empty(w2.shape, dtype=np.result_type(gy, patches))
 
-    def fill(i, parts):
-        _fill_patches(patches, tape.padded, _rows(c, i, parts), m, n)
-
     def maps(i, parts):
         r = _rows(k, i, parts)
         np.matmul(gy[r], patches.T, out=grad_w[r])
 
     def channels(i, parts):
         ch = _rows(c, i, parts)
-        rows = _channel_rows(ch, m, n)
+        rows = slice(ch.start * m * n, ch.stop * m * n)
         np.matmul(w2[:, rows].T, gy, out=patches[rows])     # the patch gradients
         _col2im(grad_padded[ch], patches[rows], m, n, out_b, out_f)
 
-    _in_parts(fill, parts)
+    _fill_patches(patches, tape.padded, m, n)
     _in_parts(maps, parts)
     _in_parts(channels, parts)
     grad_w = grad_w.reshape(k, c, m, n)

@@ -33,7 +33,6 @@ Config files are JSON:
 
 import json
 import math
-import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -413,18 +412,17 @@ class Network:
         backward has returned, so a stage's intermediates are freed before
         the stage below it runs, and a consumed list raises ValueError.  A
         stage that raises leaves its own tape, and those below it, in place.
-        With `into`, one item's share of a GradientSum, each stage's
-        gradients are handed over to that sum as soon as the stage is done
-        (ItemGradients.add), and None is returned; without it, the
-        gradients of every parameter are returned, in parameter order.
+        With `into`, each stage's gradients, {full name: array}, go to
+        into(stage index, gradients) as soon as the stage is done, and None
+        is returned; without it, the gradients of every parameter are
+        returned, in parameter order.
         """
         if len(tapes) != len(self.stack):
             raise ValueError(f"got {len(tapes)} tapes for {len(self.stack)} stages")
         if any(tape is None for tape in tapes):
             raise ValueError("these tapes were already consumed by a backward pass")
-        own = into is None
-        if own:
-            into = GradientSum(len(self.stack)).item(0)
+        grads = {}
+        hand_over = (lambda stage, local: grads.update(local)) if into is None else into
         g = np.asarray(grad_log_probs)
         for i in range(len(self.stack) - 1, -1, -1):
             name, stage = self.stack[i]
@@ -434,84 +432,5 @@ class Network:
                 raise ShapeError(f"layer {i} ({name}): {e}") from e
             tapes[i] = None
             if local:
-                into.add(i, {f"{name}.{ln}": gv for ln, gv in local.items()})
-        if own:
-            grads = into.total.grads
-            return {name: grads[name] for name, _, _ in self.param_list}
-        return None
-
-
-class GradientSum:
-    """One gradient set that the items of a batch add into, from one thread or
-    two, with the bits of the serial sum over the items in order.
-
-    Item j's backward takes `into=total.item(j)` and hands each stage's
-    gradients over as soon as it has them.  Each stage has a turn, which
-    goes from item to item in item order.  Item j adds a stage at once when
-    the turn is its own, and otherwise leaves the gradients held for its
-    turn and goes on; whoever adds a stage then passes its turn on, adding
-    the held gradients of the items after it, and skipping the released
-    ones that hold none, until it reaches an item that has not handed that
-    stage over yet.  So no thread waits for another item, and each array
-    receives its items in item order.  An item that will hand over nothing
-    more, because it is done, was skipped or failed, must be released, or
-    the turns stop at it and the items after it are never added.
-
-    One lock guards the turns and the held gradients; the adds run outside
-    it, each stage's only on the thread that holds that stage's turn.
-    """
-
-    def __init__(self, stages):
-        self.grads = {}
-        self._lock = threading.Lock()
-        self._turn = [0] * stages            # per stage, the item whose turn it is
-        self._held = {}                      # (stage, item) -> its gradients
-        self._released = set()
-
-    def item(self, j):
-        return ItemGradients(self, j)
-
-    def release(self, j):
-        """Item j hands over nothing more: pass on every turn it still has."""
-        with self._lock:
-            self._released.add(j)
-            turns = [stage for stage, item in enumerate(self._turn) if item == j]
-        for stage in turns:
-            self._pass_on(stage, j, None)
-
-    def _hand_over(self, j, stage, grads):
-        with self._lock:
-            if self._turn[stage] != j:
-                self._held[stage, j] = grads
-                return
-        self._pass_on(stage, j, grads)
-
-    def _pass_on(self, stage, j, grads):
-        """Add `grads`, item j's at `stage` in its turn, then pass the turn on."""
-        while True:
-            if grads is not None:
-                for name, g in grads.items():
-                    if name in self.grads:
-                        self.grads[name] += g
-                    else:
-                        self.grads[name] = g
-            with self._lock:
-                j += 1
-                # a released item may still hold gradients: look for them first
-                grads = self._held.pop((stage, j), None)
-                if grads is None and j not in self._released:
-                    self._turn[stage] = j
-                    return
-
-
-@dataclass(frozen=True)
-class ItemGradients:
-    """Item `index`'s share of a GradientSum, for Network.backward's `into`."""
-    total: GradientSum
-    index: int
-
-    def add(self, stage, grads):
-        """Hand over this item's gradients of `stage`, {full name: array}: they
-        are added now if it is this item's turn, and held for it otherwise.
-        A name not yet in the sum takes the array handed over."""
-        self.total._hand_over(self.index, stage, grads)
+                hand_over(i, {f"{name}.{ln}": gv for ln, gv in local.items()})
+        return {name: grads[name] for name, _, _ in self.param_list} if into is None else None

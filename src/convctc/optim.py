@@ -13,19 +13,21 @@ import numpy as np
 from .tensor import ShapeError
 
 OPTIMIZER_KINDS = ("adam", "sgd")
+# the paper's fixed values: initial weight range and PReLU slope, Adam's constants
+INIT_RANGE, ALPHA_INIT = 0.05, 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def init_uniform(param_specs, rng, lo=-0.05, hi=0.05, dtype=np.float32, alpha_init=0.1):
-    """Draw weights i.i.d. uniform [lo, hi); biases start at 0, PReLU slopes
-    at alpha_init.  param_specs is the network's (name, shape, kind) list."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+def init_uniform(param_specs, rng, dtype=np.float32):
+    """Draw weights i.i.d. uniform [-INIT_RANGE, INIT_RANGE); biases start at
+    0, PReLU slopes at ALPHA_INIT.  param_specs is the network's (name,
+    shape, kind) list."""
     params = {}
     for name, shape, kind in param_specs:
         if kind == "weight":
-            params[name] = rng.uniform(lo, hi, size=shape).astype(dtype)
+            params[name] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape).astype(dtype)
         elif kind == "alpha":
-            params[name] = np.full(shape, alpha_init, dtype=dtype)
+            params[name] = np.full(shape, ALPHA_INIT, dtype=dtype)
         else:
             params[name] = np.zeros(shape, dtype=dtype)
     return params
@@ -45,11 +47,23 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
-def make_optimizer(kind, param_specs, lr, beta1=0.9, beta2=0.999, eps=1e-8, l2=0.0,
-                   dtype=np.float32):
+def check_rates(dtype, lr, l2, where=""):
+    """Raise ValueError, naming the value and `dtype` after `where`, unless lr
+    and l2 are finite in `dtype`, the parameters' dtype: 1e39 is inf in
+    float32, and so would every parameter be after one step."""
+    for name, value in (("lr", lr), ("l2", l2)):
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.asarray(value, dtype=dtype)):
+                raise ValueError(f"{where}{name} {value!r} is not finite in {np.dtype(dtype).name}")
+
+
+def make_optimizer(kind, param_specs, lr, l2=0.0, dtype=np.float32):
+    """A fresh optimizer state for parameters of `dtype`, with the paper's
+    ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, which a checkpoint carries."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    state = OptimizerState(kind, lr, beta1, beta2, eps, l2, 0,
+    check_rates(dtype, lr, l2)
+    state = OptimizerState(kind, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, l2, 0,
                            {name: k for name, _, k in param_specs})
     if kind == "adam":
         for name, shape, _ in param_specs:

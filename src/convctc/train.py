@@ -17,9 +17,11 @@ uninterrupted one.
 import json
 import os
 import sys
+import threading
 import time
 from copy import deepcopy
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,8 +31,8 @@ from .ctc import ctc_grad, ctc_loss
 from .data import iter_static, load_dataset, make_batches
 from .evaluate import evaluate
 from .features import fit_normalization
-from .network import DropoutSpec, GradientSum, Network, _from_json
-from .optim import global_norm_clip, init_uniform, make_optimizer, step
+from .network import DropoutSpec, Network, _from_json
+from .optim import check_rates, global_norm_clip, init_uniform, make_optimizer, step
 from .tensor import DTYPES
 
 ADAM_LR = 1e-4
@@ -65,6 +67,70 @@ def override_dropout(config, rate):
     return config
 
 
+class GradientSum:
+    """One gradient set that the items of a batch add into, from one thread or
+    two, with the bits of the serial sum over the items in order.
+
+    Item j's backward takes `into=partial(total.add, j)` and hands each
+    stage's gradients over as soon as it has them.  Each stage has a turn,
+    which goes from item to item in item order.  Item j adds a stage at once
+    when the turn is its own, and otherwise leaves the gradients held for
+    its turn and goes on; whoever adds a stage then passes its turn on,
+    adding the held gradients of the items after it, and skipping the
+    released ones that hold none, until it reaches an item that has not
+    handed that stage over yet.  So no thread waits for another item, and
+    each array receives its items in item order.  An item that will hand
+    over nothing more, because it is done, was skipped or failed, must be
+    released, or the turns stop at it and the items after it are never
+    added.
+
+    One lock guards the turns and the held gradients; the adds run outside
+    it, each stage's only on the thread that holds that stage's turn.
+    """
+
+    def __init__(self, stages):
+        self.grads = {}
+        self._lock = threading.Lock()
+        self._turn = [0] * stages            # per stage, the item whose turn it is
+        self._held = {}                      # (stage, item) -> its gradients
+        self._released = set()
+
+    def add(self, j, stage, grads):
+        """Hand over item j's gradients of `stage`, {full name: array}: they
+        are added now if it is item j's turn, and held for it otherwise.  A
+        name not yet in the sum takes the array handed over."""
+        with self._lock:
+            if self._turn[stage] != j:
+                self._held[stage, j] = grads
+                return
+        self._pass_on(stage, j, grads)
+
+    def release(self, j):
+        """Item j hands over nothing more: pass on every turn it still has."""
+        with self._lock:
+            self._released.add(j)
+            turns = [stage for stage, item in enumerate(self._turn) if item == j]
+        for stage in turns:
+            self._pass_on(stage, j, None)
+
+    def _pass_on(self, stage, j, grads):
+        """Add `grads`, item j's at `stage` in its turn, then pass the turn on."""
+        while True:
+            if grads is not None:
+                for name, g in grads.items():
+                    if name in self.grads:
+                        self.grads[name] += g
+                    else:
+                        self.grads[name] = g
+            with self._lock:
+                j += 1
+                # a released item may still hold gradients: look for them first
+                grads = self._held.pop((stage, j), None)
+                if grads is None and j not in self._released:
+                    self._turn[stage] = j
+                    return
+
+
 def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
     """Accumulate per-item CTC gradients over a batch, in fixed item order.
 
@@ -77,8 +143,8 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
     and, when two cores are free for it and no GEMM of the longest item is
     large enough to split, on a worker as well, each thread taking the first
     item not yet taken.  Either way every item's backward hands each stage's
-    gradients over to one gradient set (network.GradientSum), which adds
-    them a stage at a time in item order, so the bits are those of the
+    gradients to one GradientSum, through into=partial(total.add, j), which
+    adds them a stage at a time in item order, so the bits are those of the
     serial sum, and frees the item's tapes as it goes; no thread waits for
     another's item.  Each item that starts is released when it ends,
     whether it handed over every stage, was infeasible or failed, and every
@@ -104,7 +170,8 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
                 return None
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite loss for utterance {utt.uid}")
-            net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype), into=total.item(j))
+            net.backward(tapes, ctc_grad(lattice, log_probs).astype(dtype),
+                         into=partial(total.add, j))
             return float(loss)
         finally:
             total.release(j)
@@ -177,6 +244,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
             opt.lr = lr
         if l2 is not None:
             opt.l2 = l2
+        check_rates(dtype, opt.lr, opt.l2)
     else:
         opt = _fresh_optimizer(stage, net, lr, l2, dtype)
     if params is None:

@@ -337,19 +337,11 @@ class TestEvaluateThreads:
         assert reports == {k: serial for k in range(3)}
         assert sorted(f for _, f in calls) == sorted(3 * [u.features.shape[-1] for u in items])
 
-    def test_no_gemm_splits_inside_the_threads(self, eval_threads, monkeypatch):
-        dispatches = []
-        real = layers._in_parts
-
-        def counting(task, parts):
-            if parts == 2:
-                dispatches.append(threading.current_thread().name)
-            real(task, parts)
-
-        monkeypatch.setattr(layers, "_in_parts", counting)
+    def test_no_gemm_splits_inside_the_threads(self, eval_threads, force_split, monkeypatch):
         monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", 0)
         net, params = conv_net()
         items = unsorted_items()
+        dispatches = force_split(True)
         calls = eval_threads(True)
         within(30, lambda: evaluate(net, params, items, ALPHABET))
         assert "convctc-items" in {name for name, _ in calls}

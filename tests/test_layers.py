@@ -29,12 +29,11 @@ def reference_maxout2(h1, h2):
 
 def reference_conv2d_backward(tape, grad_out, weights):
     k, out_b, out_f = tape.out_shape
-    c = tape.padded.shape[0]
     m, n = weights.shape[2:]
     gy = grad_out.reshape(k, -1)
     w2 = weights.reshape(k, -1)
     patches = np.empty((w2.shape[1], gy.shape[1]), dtype=tape.padded.dtype)
-    layers._fill_patches(patches, tape.padded, slice(0, c), m, n)
+    layers._fill_patches(patches, tape.padded, m, n)
     grad_padded = np.zeros_like(tape.padded)
     layers._col2im(grad_padded, w2.T @ gy, m, n, out_b, out_f)
     fl, tl = tape.pads
@@ -50,10 +49,9 @@ def reference_zero_pad(x, fl, fr, tl, tr):
     return np.pad(x, ((0, 0), (fl, fr), (tl, tr)))
 
 
-def reference_fill_patches(patches, padded, ch, m, n):
-    win = sliding_window_view(padded[ch], (m, n), axis=(1, 2))    # [c, b', f', m, n]
-    rows = patches[layers._channel_rows(ch, m, n)]
-    rows.reshape(win.shape[0], m, n, *win.shape[1:3])[...] = win.transpose(0, 3, 4, 1, 2)
+def reference_fill_patches(patches, padded, m, n):
+    win = sliding_window_view(padded, (m, n), axis=(1, 2))    # [c, b', f', m, n]
+    patches.reshape(win.shape[0], m, n, *win.shape[1:3])[...] = win.transpose(0, 3, 4, 1, 2)
 
 
 # The np.where kernels that layers.relu, layers.prelu and
@@ -506,28 +504,6 @@ class TestDense:
             layers.dense_forward(np.zeros((4, 2)), np.zeros((3, 5)), np.zeros(3))
 
 
-@pytest.fixture
-def force_split(monkeypatch):
-    """force_split(True) makes every GEMM at or above SPLIT_MIN_MULADDS run as
-    two parts whatever the cores and BLAS threads; force_split(False) keeps
-    every GEMM whole.  It returns the list of two-way dispatches made."""
-    dispatches = []
-    real = layers._in_parts
-
-    def counting(task, parts):
-        if parts == 2:
-            dispatches.append(task)
-        real(task, parts)
-
-    monkeypatch.setattr(layers, "_in_parts", counting)
-
-    def force(on):
-        monkeypatch.setattr(layers, "_halves_run_together", lambda: on)
-        return dispatches
-
-    return force
-
-
 def assert_split_matches(serial, split, dtype):
     """float32 row halves are bit-identical; float64 ones may differ in the
     last bits, because dgemm blocks a row slice differently."""
@@ -570,7 +546,7 @@ class TestGemmSplit:
             dispatches = force_split(on)
             out, tape = layers.conv2d_forward(x, w, b, padding)
             results.append((out, *layers.conv2d_backward(tape, gy, w)))
-        assert len(dispatches) == 5     # forward: patches, maps; backward: patches, maps, channels
+        assert len(dispatches) == 3     # forward: maps; backward: maps, channels
         assert_split_matches(*results, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -653,7 +629,7 @@ class TestGemmSplit:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(dispatches) == 2 * 3 * len(cases)
+        assert len(dispatches) == 3 * len(cases)
         for i, outs in results.items():
             for out in outs:
                 np.testing.assert_array_equal(out, expected[i])
@@ -773,19 +749,10 @@ class TestConvSetup:
             m.setattr(layers, "_zero_pad", reference_zero_pad)
             m.setattr(layers, "_fill_patches", reference_fill_patches)
             expected = run()
-        assert len(dispatches) == (10 if split else 0)     # 5 per run
+        assert len(dispatches) == (6 if split else 0)     # 3 per run
         for a, e in zip(got, expected):
             assert a.dtype == e.dtype == dtype and a.shape == e.shape
             assert a.tobytes() == e.tobytes()
-
-    def test_window_view_reads_only_its_channels(self):
-        padded = np.arange(4 * 6 * 9, dtype=np.float32).reshape(4, 6, 9)
-        for ch in (slice(0, 4), slice(1, 3), slice(3, 4), slice(4, 4)):
-            got = np.full((4 * 3 * 5, 4 * 5), -1, np.float32)
-            expected = got.copy()
-            layers._fill_patches(got, padded, ch, 3, 5)
-            reference_fill_patches(expected, padded, ch, 3, 5)
-            np.testing.assert_array_equal(got, expected)
 
 
 class TestRunItems:

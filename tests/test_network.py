@@ -1,21 +1,18 @@
-import ast
 import dataclasses
-import inspect
 import os
-import sys
-import textwrap
-import threading
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from convctc import layers, optim
 from convctc.layers import log_softmax_frames
-from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, GradientSum, ItemGradients,
-                             Network, NetworkConfig, PoolSpec, figure3_config)
+from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkConfig,
+                             PoolSpec, figure3_config)
 from convctc.tensor import ShapeError
+from convctc.train import GradientSum
 from convctc.verify import (GRAD_TOL, central_diff, network_loss_and_grads, rel_error,
                             toy_network)
 
@@ -259,26 +256,56 @@ def traced(fn):
     return result, peak - start, held - start
 
 
+GEMM_STACKS = {
+    "reduced": NetworkConfig.from_file(REDUCED),
+    "figure3": figure3_config(),
+    "relu-valid-gapped-pool": NetworkConfig(channels=3, bands=20, alphabet_size=5, layers=[
+        ConvSpec(8, 3, 5, "relu", "valid"), PoolSpec(2, 3), ConvSpec(6, 3, 3, "relu", "valid"),
+        DenseSpec(16, "relu")]),
+    "prelu": NetworkConfig(channels=3, bands=11, alphabet_size=4, layers=[
+        ConvSpec(5, 3, 5, "prelu"), PoolSpec(3, 2), DenseSpec(12, "prelu")]),
+    "dense-only": NetworkConfig(channels=2, bands=6, alphabet_size=9, layers=[
+        DenseSpec(20), DenseSpec(30, "linear")]),
+}
+
+
+class TestLargestGemm:
+    @pytest.mark.parametrize("frames", [1, 7, 55])
+    @pytest.mark.parametrize("stack", sorted(GEMM_STACKS))
+    def test_the_batch_rule_and_the_split_count_a_gemm_alike(self, monkeypatch, stack, frames):
+        # batch_gradients runs items on two threads by net.largest_gemm, and
+        # each GEMM splits by the count it passes to layers._parts
+        net = Network(GEMM_STACKS[stack])
+        counted = []
+        real = layers._parts
+
+        def recording(muladds, *arrays):
+            counted.append(muladds)
+            return real(muladds, *arrays)
+
+        monkeypatch.setattr(layers, "_parts", recording)
+        rng = np.random.default_rng(frames)
+        params = optim.init_uniform(net.param_specs(), rng)
+        x = rng.standard_normal((net.config.channels, net.config.bands, frames))
+        out, tapes = net.forward(x.astype(np.float32), params, train=True, rng=rng)
+        net.backward(tapes, np.ones_like(out))
+        assert len(counted) == 2 * sum(name.startswith(("conv", "dense", "output"))
+                                       for name, _ in net.stack)
+        assert max(counted) == net.largest_gemm(frames)
+
+
 class TestInfer:
     @pytest.mark.parametrize("dtype, split", [(np.float32, False), (np.float32, True),
                                               (np.float64, False)])
-    def test_infer_gives_the_bytes_of_forward(self, monkeypatch, dtype, split):
+    def test_infer_gives_the_bytes_of_forward(self, force_split, monkeypatch, dtype, split):
         net = Network(NetworkConfig.from_file(REDUCED))
         rng = np.random.default_rng(20)
         params = optim.init_uniform(net.param_specs(), rng, dtype=dtype)
         x = rng.standard_normal((3, 41, 37)).astype(dtype)
-        dispatches = []
-        real = layers._in_parts
-
-        def counting(task, parts):
-            dispatches.append(parts)
-            real(task, parts)
-
-        monkeypatch.setattr(layers, "_in_parts", counting)
         monkeypatch.setattr(layers, "SPLIT_MIN_MULADDS", 0)
-        monkeypatch.setattr(layers, "_halves_run_together", lambda: split)
+        dispatches = force_split(split)
         out = net.infer(x, params)
-        assert (2 in dispatches) is split
+        assert bool(dispatches) is split
         assert out.dtype == dtype
         assert out.tobytes() == net.forward(x, params)[0].tobytes()
 
@@ -409,9 +436,9 @@ class TestBackward:
 
         first, second = backward(0), backward(1)
         total = GradientSum(len(net.stack))
-        assert backward(0, into=total.item(0)) is None
+        assert backward(0, into=partial(total.add, 0)) is None
         arrays = dict(total.grads)
-        assert backward(1, into=total.item(1)) is None
+        assert backward(1, into=partial(total.add, 1)) is None
         assert sorted(total.grads) == sorted(name for name, _, _ in net.param_specs())
         for name, g in total.grads.items():
             assert g is arrays[name]
@@ -428,134 +455,6 @@ class TestBackward:
         assert all(t is b for t, b in zip(tapes, before))   # the rejected call consumed nothing
         with pytest.raises(ShapeError):                     # and a retry sees the same cause
             net.backward(tapes, np.zeros((4, 9)))
-
-
-def _within(seconds, scenario):
-    """Run scenario() on a daemon thread; fail if it has not returned in time."""
-    errors = []
-
-    def run():
-        try:
-            scenario()
-        except BaseException as e:      # re-raised below
-            errors.append(e)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=seconds)
-    assert not thread.is_alive(), f"still running after {seconds} s"
-    if errors:
-        raise errors[0]
-
-
-class TestGradientSum:
-    ITEMS, STAGES = 24, 4
-    RELEASED = {0, 5, 6, 17}      # items that add nothing: skipped or failed
-
-    def _values(self):
-        # magnitudes from 1e-4 to 1e4, so that float32 sums depend on the order
-        rng = np.random.default_rng(18)
-        return [[(rng.standard_normal(256) * 10.0 ** rng.integers(-4, 5)).astype(np.float32)
-                 for _ in range(self.STAGES)] for _ in range(self.ITEMS)]
-
-    def _hand_over(self, total, j, values, stages=None):
-        for stage in reversed(range(self.STAGES)) if stages is None else stages:
-            total.item(j).add(stage, {f"stage{stage}": values[j][stage].copy()})
-
-    def _add(self, total, j, values):
-        if j not in self.RELEASED:
-            self._hand_over(total, j, values)
-        total.release(j)
-
-    def _serial(self, values, items):
-        """The sum over `items` in item order, added stage by stage."""
-        sums = {}
-        for j in items:
-            for stage in range(self.STAGES):
-                name = f"stage{stage}"
-                if name in sums:
-                    sums[name] += values[j][stage]
-                else:
-                    sums[name] = values[j][stage].copy()
-        return sums
-
-    def _assert_bytes(self, total, expected):
-        assert sorted(total.grads) == sorted(expected)
-        for name, g in expected.items():
-            assert total.grads[name].tobytes() == g.tobytes(), name
-
-    def test_many_threads_add_in_item_order(self):
-        values = self._values()
-        serial = GradientSum(self.STAGES)
-        for j in range(self.ITEMS):
-            self._add(serial, j, values)
-        self._assert_bytes(serial, self._serial(
-            values, [j for j in range(self.ITEMS) if j not in self.RELEASED]))
-        threads_n = 6
-        total = GradientSum(self.STAGES)
-        threads = [threading.Thread(target=lambda t: [self._add(total, j, values) for j in
-                                                      range(t, self.ITEMS, threads_n)],
-                                    args=(t,), daemon=True) for t in range(threads_n)]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        self._assert_bytes(total, serial.grads)
-
-    def test_a_later_item_hands_over_before_an_earlier_one_adds(self):
-        # on one thread: waiting for item 0 here would never end
-        values = self._values()
-
-        def scenario():
-            total = GradientSum(self.STAGES)
-            self._hand_over(total, 1, values)
-            total.release(1)
-            assert total.grads == {}
-            self._hand_over(total, 0, values)
-            total.release(0)
-            self._assert_bytes(total, self._serial(values, [0, 1]))
-
-        def reversed_items():
-            total = GradientSum(self.STAGES)
-            for j in reversed(range(6)):
-                self._hand_over(total, j, values)
-                total.release(j)
-            self._assert_bytes(total, self._serial(values, range(6)))
-
-        _within(30, scenario)
-        _within(30, reversed_items)
-
-    def test_held_stages_of_a_released_item_are_still_added(self):
-        values = self._values()
-
-        def scenario():
-            total = GradientSum(self.STAGES)
-            self._hand_over(total, 0, values, stages=[0])     # then item 0 fails
-            self._hand_over(total, 1, values)
-            total.release(1)                                    # done, every stage held
-            self._hand_over(total, 2, values, stages=[3, 2])
-            total.release(0)        # passes stages 1-3 on through item 1's held gradients
-            self._hand_over(total, 2, values, stages=[1, 0])
-            total.release(2)
-            expected = self._serial(values, [1, 2])
-            expected["stage0"] = self._serial(values, [0, 1, 2])["stage0"]
-            self._assert_bytes(total, expected)
-
-        _within(30, scenario)
-
-    def test_no_thread_waits_on_a_condition(self):
-        names = {node.attr if isinstance(node, ast.Attribute) else node.id
-                 for cls in (GradientSum, ItemGradients)
-                 for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(cls))))
-                 if isinstance(node, (ast.Attribute, ast.Name))}
-        assert "_lock" in names
-        assert not names & {"Condition", "wait", "wait_for", "Event", "Semaphore"}
 
 
 def _arrays(obj):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,6 @@ class TestInitUniform:
         params = init_uniform(SPECS, np.random.default_rng(1))
         assert not params["layer.b"].any()
         np.testing.assert_array_equal(params["layer.alpha"], np.full(7, 0.1, np.float32))
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            init_uniform(SPECS, np.random.default_rng(2), lo=0.1, hi=0.1)
 
 
 class TestAdam:
@@ -100,6 +98,24 @@ class TestSgd:
             assert not np.array_equal(params["layer.w"], np.ones(400))
             np.testing.assert_array_equal(params["layer.b"], np.ones(7))
             np.testing.assert_array_equal(params["layer.alpha"], np.full(7, 0.1))
+
+
+class TestMakeOptimizer:
+    def test_state_carries_the_papers_adam_constants(self):
+        state = make_optimizer("adam", SPECS, lr=1e-4)
+        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    @pytest.mark.parametrize("rate", ["lr", "l2"])
+    def test_a_rate_the_dtype_cannot_hold_is_refused(self, kind, rate):
+        rates = {"lr": 1e-4, "l2": 0.0}
+        for value, dtype in ((1e39, np.float32), (float("nan"), np.float64),
+                             (-float("inf"), np.float64)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{rate} {value!r} is not finite in {np.dtype(dtype).name}")):
+                make_optimizer(kind, SPECS, **{**rates, rate: value}, dtype=dtype)
+        state = make_optimizer(kind, SPECS, **{**rates, rate: 1e39}, dtype=np.float64)
+        assert getattr(state, rate) == 1e39
 
 
 class TestConvexQuadratic:

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -16,11 +19,10 @@ from convctc.checkpoint import load_checkpoint
 from convctc.ctc import Alphabet
 from convctc.data import (Batch, TaskSpec, Utterance, generate_synthetic, load_manifest,
                           make_batches)
-from convctc.network import (ConvSpec, DenseSpec, DropoutSpec, ItemGradients, Network,
-                             NetworkConfig, PoolSpec)
+from convctc.network import ConvSpec, DenseSpec, DropoutSpec, Network, NetworkConfig, PoolSpec
 from convctc.optim import init_uniform
 from convctc.tensor import save_tensor
-from convctc.train import batch_gradients, train
+from convctc.train import GradientSum, batch_gradients, train
 from test_checkpoint import rewrite_header
 
 
@@ -136,6 +138,115 @@ def within(seconds, fn):
     thread.join(seconds)
     assert not thread.is_alive(), f"still running after {seconds} s"
     return outcome
+
+
+class TestGradientSum:
+    ITEMS, STAGES = 24, 4
+    RELEASED = {0, 5, 6, 17}      # items that add nothing: skipped or failed
+
+    def _values(self):
+        # magnitudes from 1e-4 to 1e4, so that float32 sums depend on the order
+        rng = np.random.default_rng(18)
+        return [[(rng.standard_normal(256) * 10.0 ** rng.integers(-4, 5)).astype(np.float32)
+                 for _ in range(self.STAGES)] for _ in range(self.ITEMS)]
+
+    def _hand_over(self, total, j, values, stages=None):
+        for stage in reversed(range(self.STAGES)) if stages is None else stages:
+            total.add(j, stage, {f"stage{stage}": values[j][stage].copy()})
+
+    def _add(self, total, j, values):
+        if j not in self.RELEASED:
+            self._hand_over(total, j, values)
+        total.release(j)
+
+    def _serial(self, values, items):
+        """The sum over `items` in item order, added stage by stage."""
+        sums = {}
+        for j in items:
+            for stage in range(self.STAGES):
+                name = f"stage{stage}"
+                if name in sums:
+                    sums[name] += values[j][stage]
+                else:
+                    sums[name] = values[j][stage].copy()
+        return sums
+
+    def _assert_bytes(self, total, expected):
+        assert sorted(total.grads) == sorted(expected)
+        for name, g in expected.items():
+            assert total.grads[name].tobytes() == g.tobytes(), name
+
+    def test_many_threads_add_in_item_order(self):
+        values = self._values()
+        serial = GradientSum(self.STAGES)
+        for j in range(self.ITEMS):
+            self._add(serial, j, values)
+        self._assert_bytes(serial, self._serial(
+            values, [j for j in range(self.ITEMS) if j not in self.RELEASED]))
+        threads_n = 6
+        total = GradientSum(self.STAGES)
+        threads = [threading.Thread(target=lambda t: [self._add(total, j, values) for j in
+                                                      range(t, self.ITEMS, threads_n)],
+                                    args=(t,), daemon=True) for t in range(threads_n)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        self._assert_bytes(total, serial.grads)
+
+    def test_a_later_item_hands_over_before_an_earlier_one_adds(self):
+        # on one thread: waiting for item 0 here would never end
+        values = self._values()
+
+        def scenario():
+            total = GradientSum(self.STAGES)
+            self._hand_over(total, 1, values)
+            total.release(1)
+            assert total.grads == {}
+            self._hand_over(total, 0, values)
+            total.release(0)
+            self._assert_bytes(total, self._serial(values, [0, 1]))
+
+        def reversed_items():
+            total = GradientSum(self.STAGES)
+            for j in reversed(range(6)):
+                self._hand_over(total, j, values)
+                total.release(j)
+            self._assert_bytes(total, self._serial(values, range(6)))
+
+        assert within(30, scenario) == {"result": None}
+        assert within(30, reversed_items) == {"result": None}
+
+    def test_held_stages_of_a_released_item_are_still_added(self):
+        values = self._values()
+
+        def scenario():
+            total = GradientSum(self.STAGES)
+            self._hand_over(total, 0, values, stages=[0])     # then item 0 fails
+            self._hand_over(total, 1, values)
+            total.release(1)                                    # done, every stage held
+            self._hand_over(total, 2, values, stages=[3, 2])
+            total.release(0)        # passes stages 1-3 on through item 1's held gradients
+            self._hand_over(total, 2, values, stages=[1, 0])
+            total.release(2)
+            expected = self._serial(values, [1, 2])
+            expected["stage0"] = self._serial(values, [0, 1, 2])["stage0"]
+            self._assert_bytes(total, expected)
+
+        assert within(30, scenario) == {"result": None}
+
+    def test_no_thread_waits_on_a_condition(self):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(GradientSum))))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert "_lock" in names
+        assert not names & {"Condition", "wait", "wait_for", "Event", "Semaphore"}
 
 
 class TestItemThreads:
@@ -307,19 +418,18 @@ class TestTrainLoop:
                   stats=_unit_stats(), quiet=True)
 
     def test_non_finite_gradient_stops_before_the_step(self, small_task, tmp_path, monkeypatch):
-        import convctc.train
-        original = ItemGradients.add
+        original = GradientSum.add
 
-        def injecting(self, stage, grads):
+        def injecting(self, j, stage, grads):
             # every item hands over a non-finite value in two parameters
             poison = {"output.w": (0, 0, np.inf), "dense1.w2": (1, 1, -np.inf)}
             for name, (row, col, value) in poison.items():
                 if name in grads:
                     grads[name][row, col] = value
-            original(self, stage, grads)
+            original(self, j, stage, grads)
 
         steps = []
-        monkeypatch.setattr(ItemGradients, "add", injecting)
+        monkeypatch.setattr(GradientSum, "add", injecting)
         monkeypatch.setattr(convctc.train, "step", lambda *args: steps.append(args))
         out = tmp_path / "run"
         with pytest.raises(RuntimeError, match=r"epoch 1, batch 0, ids \[.+\]: "
@@ -331,15 +441,19 @@ class TestTrainLoop:
         assert (out / "metrics.jsonl").read_bytes() == b""
 
     def test_non_finite_parameter_stops_before_any_log_or_checkpoint(self, small_task,
-                                                                       tmp_path):
-        # 1e39 is past float32's largest value, so the first SGD step makes
-        # the parameters infinite
+                                                                       tmp_path, monkeypatch):
+        real = convctc.train.step
+
+        def overflowing(params, grads, opt):
+            real(params, grads, opt)
+            params["conv1.w1"][0, 0, 0, 0] = np.inf
+
+        monkeypatch.setattr(convctc.train, "step", overflowing)
         out = tmp_path / "run"
         with pytest.raises(RuntimeError, match=r"epoch 1, batch 0, ids \[.+\]: non-finite "
-                                               r"parameter conv1\.w1 after the step$"), \
-                pytest.warns(RuntimeWarning, match="overflow"):
+                                               r"parameter conv1\.w1 after the step$"):
             train(small_config(), small_task["alphabet"], small_task["train"],
-                  small_task["dev"], str(out), epochs=1, batch_size=4, stage="sgd", lr=1e39,
+                  small_task["dev"], str(out), epochs=1, batch_size=4, stage="sgd",
                   quiet=True)
         assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
         assert (out / "metrics.jsonl").read_bytes() == b""
@@ -537,6 +651,23 @@ class TestResumeFaults:
             with pytest.raises(ValueError, match=f"corrupt checkpoint header.*{field}") as err:
                 call(path)
             assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("rate", ["lr", "l2"])
+    def test_rate_the_dtype_cannot_hold_fails_load(self, tmp_path, one_epoch_run, rate):
+        path = self._edited_copy(one_epoch_run, tmp_path, _edit_optimizer(**{rate: 1e39}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint optimizer: "
+                                                       f"{rate} 1e+39 is not finite in float32")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("rate", ["lr", "l2"])
+    def test_resumed_stage_rate_the_dtype_cannot_hold_is_refused(self, small_task, tmp_path,
+                                                                 one_epoch_run, rate):
+        out = tmp_path / "b"
+        with pytest.raises(ValueError, match=re.escape(f"{rate} 1e+39 is not finite in float32")):
+            train(None, None, small_task["train"], small_task["dev"], str(out),
+                  resume=one_epoch_run.last_path, epochs=1, batch_size=4, quiet=True,
+                  **{rate: 1e39})
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 def _unit_stats():
