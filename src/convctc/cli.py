@@ -2,6 +2,8 @@
 
 Subcommands: train, eval, decode, verify, gen-synthetic, fit-stats.
 Flag values override config-file values, which override built-in defaults.
+`train` follows the paper's one recipe: float32 parameters (a resumed
+checkpoint keeps its own dtype) and the summed CTC loss of each batch.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from .data import TaskSpec, generate_synthetic, iter_static, load_dataset, load_
 from .evaluate import evaluate, load_mapping
 from .features import assemble_input, fit_normalization, load_stats, save_stats
 from .network import Network, NetworkConfig, figure3_config
-from .tensor import DTYPES, load_tensor
+from .tensor import load_tensor
 from .train import STAGE_DEFAULTS, train
 from .verify import SUITES
 
@@ -39,7 +41,6 @@ def build_parser():
     p.add_argument("--dev", required=True, dest="dev_manifest")
     p.add_argument("--out", default="run", help="output directory (checkpoints, metrics log)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=list(DTYPES), default="f32")
     p.add_argument("--stage", choices=list(STAGE_DEFAULTS), default=None,
                    help="optimization stage (default: adam, or the resumed checkpoint's)")
     p.add_argument("--lr", type=float, default=None,
@@ -52,10 +53,8 @@ def build_parser():
                    help="L2 coefficient on weights (default 1e-5 in sgd stage, 0 otherwise)")
     p.add_argument("--patience", type=int, default=5,
                    help="evaluations without dev improvement before plateau action")
-    p.add_argument("--batch-loss", choices=["sum", "mean"], default="sum")
     p.add_argument("--auto-finetune", action="store_true",
                    help="switch to SGD fine-tuning on plateau instead of stopping")
-    p.add_argument("--clip", type=float, default=None, help="global gradient-norm clip")
     p.add_argument("--target-ler", type=float, default=None,
                    help="stop once dev label error rate reaches this value")
     p.add_argument("--stats", help="precomputed normalization stats file")
@@ -99,12 +98,11 @@ def _cmd_train(args):
     dev_manifest = load_manifest(args.dev_manifest, alphabet, "dev")
     stats = load_stats(args.stats) if args.stats else None
     result = train(config, alphabet, train_manifest, dev_manifest, args.out,
-                   seed=args.seed, precision=args.precision, stage=args.stage,
-                   lr=args.lr, batch_size=args.batch, epochs=args.epochs,
-                   patience=args.patience, l2=args.l2, dropout=args.dropout,
-                   batch_loss=args.batch_loss, auto_finetune=args.auto_finetune,
-                   clip=args.clip, target_ler=args.target_ler, stats=stats,
-                   resume=args.resume, log_timing=not args.no_timing)
+                   seed=args.seed, stage=args.stage, lr=args.lr,
+                   batch_size=args.batch, epochs=args.epochs, patience=args.patience,
+                   l2=args.l2, dropout=args.dropout, auto_finetune=args.auto_finetune,
+                   target_ler=args.target_ler, stats=stats, resume=args.resume,
+                   log_timing=not args.no_timing)
     print(f"done: {result.epochs_run} epoch(s), best dev_ler {result.best_dev_ler:.4f}")
     print(f"checkpoints: {result.best_path} (best), {result.last_path} (last)")
     return 0

@@ -109,15 +109,3 @@ def step(params, grads, state):
     if state.kind == "adam":
         return adam_step(params, grads, state)
     return sgd_step(params, grads, state)
-
-
-def global_norm_clip(grads, max_norm):
-    """Scale the whole gradient set so its global L2 norm is <= max_norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    norm = np.sqrt(total)
-    if norm > max_norm and norm > 0:
-        factor = max_norm / norm
-        return {name: g * g.dtype.type(factor) for name, g in grads.items()}
-    return grads

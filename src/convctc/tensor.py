@@ -3,7 +3,7 @@
 Tensors are plain C-contiguous numpy arrays (row-major, last axis fastest;
 feature tensors keep time on the last axis).  Two precisions are supported:
 float32 for training speed and float64 for the verification suites, selected
-per call or per run -- never mixed silently.
+per call -- never mixed silently.
 
 The module also owns the binary tensor container used by feature files,
 normalization stats, and checkpoints:
@@ -23,7 +23,6 @@ FORMAT_VERSION = 1
 MAX_RANK = 8
 _MAGIC = b"TNSR"
 
-DTYPES = {"f32": np.float32, "f64": np.float64}
 _DTYPE_TAGS = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 

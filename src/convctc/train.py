@@ -32,8 +32,7 @@ from .data import iter_static, load_dataset, make_batches
 from .evaluate import evaluate
 from .features import fit_normalization
 from .network import DropoutSpec, Network, _from_json
-from .optim import check_rates, global_norm_clip, init_uniform, make_optimizer, step
-from .tensor import DTYPES
+from .optim import check_rates, init_uniform, make_optimizer, step
 
 ADAM_LR = 1e-4
 STAGE_DEFAULTS = {"adam": (ADAM_LR, 0.0), "sgd": (1e-5, 1e-5)}   # stage -> default (lr, l2)
@@ -189,9 +188,8 @@ def batch_gradients(net, params, batch, train=True, rng=None, dtype=np.float32):
 
 
 def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
-          precision="f32", stage=None, lr=None, batch_size=20, epochs=100,
-          patience=5, l2=None, dropout=None, batch_loss="sum",
-          auto_finetune=False, clip=None, target_ler=None, stats=None,
+          stage=None, lr=None, batch_size=20, epochs=100, patience=5, l2=None,
+          dropout=None, auto_finetune=False, target_ler=None, stats=None,
           resume=None, log_timing=True, quiet=False):
     """Run `epochs` training epochs; returns a TrainResult.
 
@@ -199,8 +197,10 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
     state, and epoch numbering continue from it.  Passing a different
     `stage` than the checkpoint's re-creates the optimizer (the manual
     Adam -> SGD fine-tune trigger); otherwise the stored state is reused.
-    A fresh run (no `resume`) refuses an `out_dir` that already holds a
-    run's log or checkpoints, and writes nothing there.
+    A fresh run trains in float32; a resumed run keeps its checkpoint's
+    dtype.  A fresh run (no `resume`) refuses an `out_dir` that already
+    holds a run's log or checkpoints, and writes nothing there.  `out_dir`
+    is made only after every check passes, so a refused call leaves none.
 
     Raises RuntimeError, naming the epoch, batch and parameter, when a batch
     gradient is not finite, leaving the parameters as they were, or when a
@@ -215,9 +215,6 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
             if os.path.exists(path):
                 raise ValueError(f"{out_dir} already holds a run ({os.path.basename(path)}); "
                                  f"resume from its last.ckpt or choose another directory")
-    os.makedirs(out_dir, exist_ok=True)
-    if batch_loss not in ("sum", "mean"):
-        raise ValueError(f"batch_loss must be 'sum' or 'mean', got {batch_loss!r}")
 
     rng = np.random.default_rng(seed)
     params, opt, prior = None, None, RunMeta()
@@ -236,7 +233,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
     if dropout is not None:
         config = override_dropout(config, dropout)
     net = Network(config)
-    dtype = DTYPES[precision] if params is None else next(iter(params.values())).dtype
+    dtype = np.float32 if params is None else next(iter(params.values())).dtype
     start_epoch, best_ler, bad_evals = prior.epoch, prior.best_dev_ler, prior.bad_evals
     stage = stage or prior.stage
     if opt is not None and opt.kind == stage:
@@ -268,6 +265,7 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
         best_params = {k: v.copy() for k, v in src.items()}
     final_epoch = start_epoch
 
+    os.makedirs(out_dir, exist_ok=True)
     if os.path.exists(log_path):     # cut a last line torn by a crash mid-append
         with open(log_path, "rb+") as fh:
             fh.truncate(fh.read().rfind(b"\n") + 1)
@@ -294,11 +292,6 @@ def train(config, alphabet, train_manifest, dev_manifest, out_dir, seed=0,
                 if bad is not None:
                     raise RuntimeError(f"epoch {epoch}, batch {bi}, ids {batch.ids}: "
                                        f"non-finite gradient for {bad}")
-                if batch_loss == "mean":
-                    for g in grads.values():
-                        g /= counted
-                if clip is not None:
-                    grads = global_norm_clip(grads, clip)
                 step(params, grads, opt)
                 bad = _non_finite(params)
                 if bad is not None:

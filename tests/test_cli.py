@@ -90,6 +90,16 @@ class TestTrainCommand:
             main(["train", "--config", bad_path, "--alphabet", corpus["alphabet"],
                   "--train", corpus["train"], "--dev", corpus["dev"],
                   "--out", str(tmp_path / "x"), "--epochs", "1"])
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", [["--precision", "f64"], ["--batch-loss", "mean"],
+                                      ["--clip", "1"]])
+    def test_off_recipe_flags_are_not_options(self, corpus, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as err:
+            run_training(corpus, str(tmp_path / "run"), extra=flag)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")

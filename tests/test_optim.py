@@ -3,8 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from convctc.optim import (adam_step, global_norm_clip, init_uniform,
-                           make_optimizer, sgd_step, step)
+from convctc.optim import adam_step, init_uniform, make_optimizer, sgd_step, step
 from convctc.tensor import ShapeError
 
 SPECS = [("layer.w", (400,), "weight"), ("layer.b", (7,), "bias"),
@@ -135,14 +134,3 @@ class TestConvexQuadratic:
             assert losses[i + 1] <= losses[i] + 1e-15
         assert losses[-1] < losses[10]
 
-
-class TestClip:
-    def test_large_gradients_scaled_to_max_norm(self):
-        grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
-        clipped = global_norm_clip(grads, 1.0)
-        total = sum(float(np.sum(g ** 2)) for g in clipped.values())
-        assert np.sqrt(total) == pytest.approx(1.0, rel=1e-12)
-
-    def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.1, 0.2])}
-        assert global_norm_clip(grads, 10.0)["a"] is grads["a"]
